@@ -63,7 +63,7 @@ def write_pgm(path, array, maxval):
 def read_pgm(path):
     """Returns (array uint16/uint8 of shape (H, W), maxval)."""
     blob = Path(path).read_bytes()
-    if blob[:2] != b"P5":
+    if blob[:2] != b"P5" or not blob[2:3].isspace():
         raise InvalidArgument(f"{path}: not a binary PGM (P5)")
     # header: magic, width, height, maxval; '#' comments allowed
     pos, fields = 2, []
@@ -71,14 +71,24 @@ def read_pgm(path):
         while pos < len(blob) and blob[pos:pos + 1].isspace():
             pos += 1
         if blob[pos:pos + 1] == b"#":
-            pos = blob.index(b"\n", pos) + 1
+            end = blob.find(b"\n", pos)
+            if end < 0:
+                raise InvalidArgument(f"{path}: unterminated comment in PGM header")
+            pos = end + 1
             continue
         start = pos
         while pos < len(blob) and not blob[pos:pos + 1].isspace():
             pos += 1
-        fields.append(int(blob[start:pos]))
+        token = blob[start:pos]
+        if not token:
+            raise InvalidArgument(f"{path}: truncated PGM header")
+        if not token.isdigit():
+            raise InvalidArgument(f"{path}: PGM header field {token!r} is not an integer")
+        fields.append(int(token))
     pos += 1  # single whitespace after maxval
     w, h, maxval = fields
+    if not 0 < maxval < 65536:
+        raise InvalidArgument(f"{path}: PGM maxval {maxval} outside 1..65535")
     dtype = np.dtype(">u2") if maxval > 255 else np.dtype("u1")
     need = w * h * dtype.itemsize
     payload = blob[pos:pos + need]

@@ -45,6 +45,13 @@ class ModuleList(list):
             yield from child.named_params(f"{prefix}{i}.")
 
 
+def _weight(shape, fan_in, rng, dtype):
+    """He-initialised weight; zeros when ``rng`` is None (weights to be loaded)."""
+    if rng is None:
+        return T.zeros(shape, dtype=dtype, requires_grad=True)
+    return T.he_normal(shape, fan_in, rng, dtype=dtype, requires_grad=True)
+
+
 class Conv2d(Module):
     def __init__(self, in_ch, out_ch, k, rng, stride=1, dilation=1, padding=0,
                  dtype=np.float32):
@@ -52,8 +59,7 @@ class Conv2d(Module):
         self.stride = stride
         self.dilation = dilation
         self.padding = padding
-        self.weight = T.he_normal((out_ch, in_ch, k, k), in_ch * k * k, rng,
-                                  dtype=dtype, requires_grad=True)
+        self.weight = _weight((out_ch, in_ch, k, k), in_ch * k * k, rng, dtype)
         self.bias = T.zeros((1, out_ch, 1, 1), dtype=dtype, requires_grad=True)
 
     def __call__(self, x):
@@ -64,8 +70,7 @@ class Conv2d(Module):
 class Dense(Module):
     def __init__(self, in_ch, out_ch, rng, dtype=np.float32):
         super().__init__()
-        self.weight = T.he_normal((out_ch, in_ch, 1, 1), in_ch, rng,
-                                  dtype=dtype, requires_grad=True)
+        self.weight = _weight((out_ch, in_ch, 1, 1), in_ch, rng, dtype)
         self.bias = T.zeros((1, out_ch, 1, 1), dtype=dtype, requires_grad=True)
 
     def __call__(self, x):

@@ -100,11 +100,17 @@ class _DecoderLevel(Module):
 
 
 class FudsaNet(Module):
-    def __init__(self, config: NetworkConfig, seed: int = 0):
+    """The network; ``seed`` seeds the He initialisation.
+
+    ``seed=None`` draws no random numbers and leaves every parameter zero,
+    for callers that load the parameters afterwards.
+    """
+
+    def __init__(self, config: NetworkConfig, seed: int | None = 0):
         super().__init__()
         self.config = config
         dtype = config.np_dtype
-        rng = np.random.default_rng(seed)
+        rng = None if seed is None else np.random.default_rng(seed)
         cfg = config
 
         enc = ModuleList()

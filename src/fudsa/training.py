@@ -265,8 +265,12 @@ def save_checkpoint(model: FudsaNet, state: AdamState | None, path):
     Path(path).write_bytes(buf.getvalue())
 
 
-def load_checkpoint(path, seed=0):
-    """Rebuilds the model (and Adam state, if saved) from a FUD1 container."""
+def load_checkpoint(path):
+    """Rebuilds the model (and Adam state, if saved) from a FUD1 container.
+
+    The model is built without initialisation and each stored tensor is
+    copied once, straight from the file's bytes.
+    """
     blob = Path(path).read_bytes()
     if blob[:4] != _CKPT_MAGIC:
         raise CorruptCheckpoint(f"{path}: bad magic {blob[:4]!r}")
@@ -284,7 +288,7 @@ def load_checkpoint(path, seed=0):
         if pos != len(blob):
             raise CorruptCheckpoint(f"{path}: trailing bytes")
         config = _config_from_entries(entries)
-        model = FudsaNet(config, seed=seed)
+        model = FudsaNet(config, seed=None)
         for name, p in model.named_params():
             key = f"p/{name}"
             if key not in entries:
@@ -296,7 +300,7 @@ def load_checkpoint(path, seed=0):
             p.data = entries[key].astype(config.np_dtype)
         state = None
         if "adam/t" in entries:
-            state = AdamState(model.named_params())
+            state = AdamState([])
             state.t = int(entries["adam/t"].reshape(-1)[0])
             for name, _ in model.named_params():
                 state.m[name] = entries[f"m/{name}"].astype(config.np_dtype)

@@ -151,6 +151,7 @@ def _final_map_ftl(model, pairs, cfg=None):
     return (1.0 - ti) ** (1.0 / cfg.gamma)
 
 
+@pytest.mark.slow
 def test_criterion_5_learning_check():
     """Full model overfits 8 phantoms at 64x64 within a 300-epoch budget."""
     with criterion("criterion 5: learning check (8 phantoms, 64x64, "
@@ -175,6 +176,7 @@ def test_criterion_5_learning_check():
         assert ftl <= 0.05
 
 
+@pytest.mark.slow
 def test_criterion_6_ablation_direction():
     """Full variant is not clearly worse than any ablation (majority of seeds)."""
     with criterion("criterion 6: ablation direction (200 phantoms, 160/40, "

@@ -5,6 +5,8 @@ from fudsa import cli
 from fudsa import data as D
 from fudsa import tensor as T
 from fudsa.errors import InvalidArgument
+from fudsa.network import FudsaNet, NetworkConfig
+from fudsa.training import save_checkpoint
 
 
 def run(*argv):
@@ -251,6 +253,15 @@ def test_predict_rejects_indivisible_image(trained, tmp_path):
     assert run("predict", "--checkpoint", str(trained / "final.ckpt"),
                "--image", str(tmp_path / "odd.pgm"),
                "--out", str(tmp_path / "o.pgm")) == 2
+
+
+def test_predict_malformed_pgm_exits_2(tmp_path, capsys):
+    ckpt = tmp_path / "m.ckpt"
+    save_checkpoint(FudsaNet(NetworkConfig(levels=2, base_channels=2)), None, ckpt)
+    (tmp_path / "bad.pgm").write_bytes(b"P5\nab 4\n255\n")
+    assert run("predict", "--checkpoint", str(ckpt), "--image", str(tmp_path / "bad.pgm"),
+               "--out", str(tmp_path / "o.pgm")) == 2
+    assert "not an integer" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

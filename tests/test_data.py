@@ -179,6 +179,19 @@ def test_pgm_rejects_truncation_and_bad_magic(tmp_path):
         D.read_pgm(tmp_path / "short.pgm")
 
 
+@pytest.mark.parametrize("blob", [
+    b"P5\nab 4\n255\n",         # non-integer field
+    b"P5 #x",                    # comment without a newline
+    b"P5",                       # empty header
+    b"P52 2\n255\n\x00\x00\x00\x00",  # no whitespace after the magic
+    b"P5\n2 2\n0\n\x00\x00\x00\x00",  # maxval out of range
+])
+def test_pgm_rejects_malformed_header(tmp_path, blob):
+    (tmp_path / "h.pgm").write_bytes(blob)
+    with pytest.raises(InvalidArgument):
+        D.read_pgm(tmp_path / "h.pgm")
+
+
 def test_raw_slice_roundtrip_preserves_negative_hu(tmp_path):
     hu = np.array([[-1000, 0], [170, -32768]], dtype=np.int16)
     D.write_raw_slice(tmp_path / "r.pgm", D.RawSlice(hu, "r"))

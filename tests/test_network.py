@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -28,6 +30,15 @@ def test_build_deterministic():
     c = FudsaNet(small_cfg(), seed=12)
     assert any(not np.array_equal(pa.data, pc.data)
                for (_, pa), (_, pc) in zip(a.named_params(), c.named_params()))
+
+
+def test_seeded_build_is_pinned():
+    # criterion 7 and saved checkpoints rely on this exact initialisation
+    h = hashlib.sha256()
+    for name, p in FudsaNet(NetworkConfig(levels=2, base_channels=4), seed=3).named_params():
+        h.update(name.encode())
+        h.update(p.data.tobytes())
+    assert h.hexdigest() == "a87c54cd2dcfa39a551289c432cfb6cb555b08f5f76159fa633791b7add54d99"
 
 
 def test_variant_ii_has_fewer_params():

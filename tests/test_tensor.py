@@ -1,4 +1,5 @@
 import io
+import struct
 
 import numpy as np
 import pytest
@@ -159,6 +160,25 @@ def test_conv_matches_loop_oracle_dilated(rng):
     assert np.allclose(out.data, oracle, atol=1e-5)
 
 
+def test_conv_matches_loop_oracle_grid(rng):
+    # every kernel size, stride, dilation and padding the lowering branches on,
+    # with a batch and channel counts that make its transposes observable
+    x = T.Tensor(rng.normal(size=(2, 3, 7, 7)), requires_grad=True)
+    b = T.Tensor(rng.normal(size=(1, 4, 1, 1)), requires_grad=True)
+    for k in (1, 2, 3):
+        kern = T.Tensor(rng.normal(size=(4, 3, k, k)), requires_grad=True)
+        for s in (1, 2):
+            for d in (1, 2):
+                for p in (0, 1, 2):
+                    out = T.conv2d(x, kern, b, stride=s, dilation=d, padding=p)
+                    oracle = conv2d_loop(x.data, kern.data, b.data.reshape(-1), s, d, p)
+                    assert np.allclose(out.data, oracle, atol=1e-10), (k, s, d, p)
+                    up = T.Tensor(rng.normal(size=oracle.shape))
+                    check_grads(lambda: T.tsum(T.mul(
+                        T.conv2d(x, kern, b, stride=s, dilation=d, padding=p), up)),
+                        [x, kern, b], n=6)
+
+
 def test_conv_gradients_finite_diff(rng):
     x = T.Tensor(rng.normal(size=(2, 3, 8, 8)), requires_grad=True)
     k = T.Tensor(rng.normal(size=(4, 3, 3, 3)) * 0.2, requires_grad=True)
@@ -172,6 +192,56 @@ def test_conv_strided_2x2_grad(rng):
     x = T.Tensor(rng.normal(size=(1, 2, 8, 8)), requires_grad=True)
     k = T.Tensor(rng.normal(size=(3, 2, 2, 2)), requires_grad=True)
     check_grads(lambda: T.tsum(T.conv2d(x, k, stride=2)), [x, k])
+
+
+def test_conv_1x1_grad(rng):
+    x = T.Tensor(rng.normal(size=(2, 3, 5, 5)), requires_grad=True)
+    k = T.Tensor(rng.normal(size=(4, 3, 1, 1)), requires_grad=True)
+    b = T.Tensor(rng.normal(size=(1, 4, 1, 1)), requires_grad=True)
+    check_grads(lambda: T.tsum(T.mul(T.conv2d(x, k, b), T.conv2d(x, k, b))), [x, k, b])
+
+
+def test_conv_strided_batch_grad(rng):
+    x = T.Tensor(rng.normal(size=(2, 3, 9, 9)), requires_grad=True)
+    k = T.Tensor(rng.normal(size=(4, 3, 3, 3)) * 0.3, requires_grad=True)
+    b = T.Tensor(rng.normal(size=(1, 4, 1, 1)), requires_grad=True)
+    check_grads(lambda: T.tsum(T.mul(
+        T.conv2d(x, k, b, stride=2, padding=1),
+        T.conv2d(x, k, b, stride=2, padding=1))), [x, k, b], tol=1e-5)
+
+
+def _closure_arrays(fn):
+    """Every ndarray a backward closure keeps alive, Tensor data included."""
+    for cell in fn.__closure__ or ():
+        v = cell.cell_contents
+        if isinstance(v, np.ndarray):
+            yield v
+        elif isinstance(v, T.Tensor):
+            yield v.data
+        elif callable(v) and getattr(v, "__closure__", None):
+            yield from _closure_arrays(v)
+
+
+def _base(a):
+    while isinstance(a.base, np.ndarray):
+        a = a.base
+    return a
+
+
+def test_conv_tape_keeps_only_its_inputs(rng):
+    # the lowered matrix is rebuilt in backward; the tape holds nothing but
+    # the operands (and views of them)
+    x = T.Tensor(rng.normal(size=(2, 3, 8, 8)), requires_grad=True)
+    b = T.Tensor(rng.normal(size=(1, 4, 1, 1)), requires_grad=True)
+    operands = {id(_base(t.data)) for t in (x, b)}
+    for k, s, d, p in ((3, 1, 1, 1), (3, 1, 2, 2), (2, 2, 1, 0), (1, 1, 1, 0)):
+        kern = T.Tensor(rng.normal(size=(4, 3, k, k)), requires_grad=True)
+        with T.Tape() as tape:
+            T.conv2d(x, kern, b, stride=s, dilation=d, padding=p)
+        (_, fn), = tape.nodes
+        allowed = operands | {id(_base(kern.data))}
+        held = [a.shape for a in _closure_arrays(fn) if id(_base(a)) not in allowed]
+        assert held == [], (k, s, d, p)
 
 
 def test_conv_shape_formula_grid(rng):
@@ -440,5 +510,13 @@ def test_ften_header_layout(tmp_path):
 def test_ften_rejects_garbage(tmp_path):
     p = tmp_path / "bad.ften"
     p.write_bytes(b"NOPE" + b"\x00" * 40)
+    with pytest.raises(InvalidArgument):
+        T.read_ften(p)
+
+
+def test_ften_rejects_extents_that_overflow(tmp_path):
+    # 2**62 * 4 elements wraps to 0 in int64 arithmetic
+    p = tmp_path / "huge.ften"
+    p.write_bytes(b"FTEN" + struct.pack("<BBB5x", 1, 0, 2) + struct.pack("<2Q", 2 ** 62, 4))
     with pytest.raises(InvalidArgument):
         T.read_ften(p)

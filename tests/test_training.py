@@ -282,6 +282,23 @@ def test_checkpoint_preserves_variant_config(tmp_path):
     assert loaded.config == cfg
 
 
+def test_checkpoint_load_draws_no_random_numbers(tmp_path, monkeypatch):
+    model = small_model(seed=3)
+    path = tmp_path / "r.ckpt"
+    save_checkpoint(model, None, path)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("load_checkpoint drew random numbers")
+
+    monkeypatch.setattr(T, "he_normal", forbidden)
+    monkeypatch.setattr(np.random, "default_rng", forbidden)
+    loaded, _ = load_checkpoint(path)
+    for (name, p), (lname, lp) in zip(model.named_params(), loaded.named_params()):
+        assert name == lname
+        np.testing.assert_array_equal(p.data, lp.data)
+        assert lp.data.flags.writeable and lp.data.flags.owndata
+
+
 def test_checkpoint_bad_magic(tmp_path):
     path = tmp_path / "bad.ckpt"
     path.write_bytes(b"NOPE" + b"\x00" * 16)
