@@ -83,19 +83,13 @@ class AttentionGate(Module):
         gate = T.sigmoid(self.spatial_conv1(self.spatial_conv3(acc)))
         return T.upsample(gate, 2, mode=self.upsample_mode)
 
-    def __call__(self, encoder_maps, decoder_map, bypass_gates=False) -> AttentionResult:
+    def __call__(self, encoder_maps, decoder_map) -> AttentionResult:
         if len(encoder_maps) != self.level:
             raise ShapeMismatch(
                 f"level {self.level} gate needs {self.level} encoder maps, got {len(encoder_maps)}")
         e_l = encoder_maps[-1]
         d_next = self.reduce_decoder(decoder_map)
         s_maps = [chain(e) for chain, e in zip(self.match_chains, encoder_maps)]
-
-        if bypass_gates:
-            ones_c = T.constant((e_l.shape[0], e_l.shape[1], 1, 1), 1.0, dtype=e_l.dtype)
-            ones_q = T.constant((e_l.shape[0], 1, e_l.shape[2], e_l.shape[3]), 1.0,
-                                dtype=e_l.dtype)
-            return AttentionResult(e_l, ones_c, ones_q, d_next, s_maps)
 
         if self.spatial_only:
             w_cha = T.constant((e_l.shape[0], e_l.shape[1], 1, 1), 1.0, dtype=e_l.dtype)

@@ -15,29 +15,38 @@ import argparse
 import sys
 from dataclasses import replace
 from pathlib import Path
+from types import UnionType
+from typing import get_args, get_origin
 
 import numpy as np
 
 from . import data as D
+from . import schema
 from . import tensor as T
 from .errors import FudsaError, InvalidArgument, NumericalDivergence
-from .losses import LossConfig, METRICS_CSV_HEADER, metrics_csv_row
-from .network import FudsaNet, NetworkConfig, VariantFlags, VARIANTS
+from .losses import METRICS_CSV_HEADER, metrics_csv_row
+from .network import FudsaNet, NetworkConfig, VARIANTS
 from .training import (AdamState, TrainConfig, evaluate, gradient_check,
                        load_checkpoint, save_checkpoint, train)
 
-_BOOL_KEYS = ("spatial_only", "deep_supervision", "decoder_residuals",
-              "channel_branch_includes_sl")
-_INT_KEYS = ("levels", "base_channels", "input_channels", "reduction",
-             "batch_size", "max_epochs", "patience", "seed", "size")
-_FLOAT_KEYS = ("learning_rate", "min_delta", "alpha", "beta", "gamma", "smooth")
-_STR_KEYS = ("upsample_mode", "dtype")
-_LIST_KEYS = ("sdc_dilations", "side_weights")
-_ALL_KEYS = _BOOL_KEYS + _INT_KEYS + _FLOAT_KEYS + _STR_KEYS + _LIST_KEYS
+_KEY_TYPES = {**schema.leaf_types(NetworkConfig), **schema.leaf_types(TrainConfig)}
+
+
+def _parse_value(kind, raw):
+    """One config.txt value of the annotated type; ValueError if it does not parse."""
+    if kind is bool:
+        if raw not in ("true", "false"):
+            raise ValueError("expected true or false")
+        return raw == "true"
+    if get_origin(kind) is UnionType:  # X | None; None is never written
+        kind = get_args(kind)[0]
+    if get_origin(kind) is tuple:
+        return tuple(_parse_value(get_args(kind)[0], p) for p in raw.split(",") if p)
+    return kind(raw)
 
 
 def parse_config_text(text):
-    """Flat key=value lines, '#' comments; unknown keys are rejected."""
+    """Flat key=value lines, '#' comments; the keys are the leaf config fields."""
     values = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
@@ -47,91 +56,33 @@ def parse_config_text(text):
             raise InvalidArgument(f"config line {lineno}: expected key=value, got {line!r}")
         key, _, raw = line.partition("=")
         key, raw = key.strip(), raw.strip()
-        if key not in _ALL_KEYS:
+        if key not in _KEY_TYPES:
             raise InvalidArgument(f"config line {lineno}: unknown key {key!r}")
         if key in values:
             raise InvalidArgument(f"config line {lineno}: duplicate key {key!r}")
-        if key in _BOOL_KEYS:
-            if raw not in ("true", "false"):
-                raise InvalidArgument(f"config line {lineno}: {key} must be true/false")
-            values[key] = raw == "true"
-        elif key in _INT_KEYS:
-            values[key] = int(raw)
-        elif key in _FLOAT_KEYS:
-            values[key] = float(raw)
-        elif key in _LIST_KEYS:
-            parts = [p for p in raw.split(",") if p]
-            values[key] = (tuple(int(p) for p in parts) if key == "sdc_dilations"
-                           else tuple(float(p) for p in parts))
-        else:
-            values[key] = raw
+        try:
+            values[key] = _parse_value(_KEY_TYPES[key], raw)
+        except ValueError as exc:
+            raise InvalidArgument(f"config line {lineno}: bad {key} value {raw!r}: {exc}") from None
     return values
 
 
-def render_config(net: NetworkConfig, tr: TrainConfig, extra=None):
-    v = net.variant
-    lines = [
-        f"levels={net.levels}",
-        f"base_channels={net.base_channels}",
-        f"input_channels={net.input_channels}",
-        f"reduction={net.reduction}",
-        "sdc_dilations=" + ",".join(str(d) for d in net.sdc_dilations),
-        f"upsample_mode={net.upsample_mode}",
-        f"dtype={net.dtype}",
-        f"spatial_only={str(v.spatial_only).lower()}",
-        f"deep_supervision={str(v.deep_supervision).lower()}",
-        f"decoder_residuals={str(v.decoder_residuals).lower()}",
-        f"channel_branch_includes_sl={str(v.channel_branch_includes_sl).lower()}",
-        f"learning_rate={tr.learning_rate}",
-        f"batch_size={tr.batch_size}",
-        f"max_epochs={tr.max_epochs}",
-        f"patience={tr.patience}",
-        f"min_delta={tr.min_delta}",
-        f"seed={tr.seed}",
-        f"alpha={tr.loss.alpha}",
-        f"beta={tr.loss.beta}",
-        f"gamma={tr.loss.gamma}",
-        f"smooth={tr.loss.smooth}",
-    ]
-    if tr.loss.side_weights is not None:
-        lines.append("side_weights=" + ",".join(str(w) for w in tr.loss.side_weights))
-    for k, val in (extra or {}).items():
-        lines.append(f"{k}={val}")
-    return "\n".join(lines) + "\n"
+def _render_value(value):
+    if isinstance(value, bool):
+        return str(value).lower()
+    if isinstance(value, tuple):
+        return ",".join(str(v) for v in value)
+    return str(value)
+
+
+def render_config(net: NetworkConfig, tr: TrainConfig):
+    """config.txt text: every leaf field in field order, None values omitted."""
+    return "".join(f"{name}={_render_value(value)}\n" for cfg in (net, tr)
+                   for name, value in schema.leaf_items(cfg) if value is not None)
 
 
 def _build_configs(values):
-    net = NetworkConfig(
-        levels=values.get("levels", 4),
-        base_channels=values.get("base_channels", 16),
-        input_channels=values.get("input_channels", 1),
-        reduction=values.get("reduction", 4),
-        sdc_dilations=values.get("sdc_dilations", (1, 2, 4)),
-        upsample_mode=values.get("upsample_mode", "bilinear"),
-        dtype=values.get("dtype", "f32"),
-        variant=VariantFlags(
-            spatial_only=values.get("spatial_only", False),
-            deep_supervision=values.get("deep_supervision", True),
-            decoder_residuals=values.get("decoder_residuals", True),
-            channel_branch_includes_sl=values.get("channel_branch_includes_sl", False),
-        ))
-    loss = LossConfig(
-        alpha=values.get("alpha", 0.7),
-        beta=values.get("beta", 0.3),
-        gamma=values.get("gamma", 4.0 / 3.0),
-        smooth=values.get("smooth", 1e-6),
-        side_weights=values.get("side_weights"),
-    )
-    tr = TrainConfig(
-        learning_rate=values.get("learning_rate", 1e-4),
-        batch_size=values.get("batch_size", 4),
-        max_epochs=values.get("max_epochs", 300),
-        patience=values.get("patience", 10),
-        min_delta=values.get("min_delta", 1e-5),
-        seed=values.get("seed", 0),
-        loss=loss,
-    )
-    return net, tr
+    return schema.build(NetworkConfig, values), schema.build(TrainConfig, values)
 
 
 # ---------------------------------------------------------------------------
@@ -194,26 +145,15 @@ def _load_split(data_dir):
 
 
 def cmd_train(args):
-    values = {}
-    if args.config:
-        values = parse_config_text(Path(args.config).read_text())
-    if args.seed is not None:
-        values["seed"] = args.seed
-    if args.learning_rate is not None:
-        values["learning_rate"] = args.learning_rate
-    if args.max_epochs is not None:
-        values["max_epochs"] = args.max_epochs
-    if args.batch_size is not None:
-        values["batch_size"] = args.batch_size
-    if args.patience is not None:
-        values["patience"] = args.patience
+    values = parse_config_text(Path(args.config).read_text()) if args.config else {}
+    # options named like a config key (--seed, --learning-rate, ...) override it
+    values.update((k, v) for k, v in vars(args).items() if k in _KEY_TYPES and v is not None)
     net_cfg, tr_cfg = _build_configs(values)
     if args.variant:
         net_cfg = net_cfg.with_variant(args.variant)
 
     train_set, val_set = _load_split(args.data)
     model = FudsaNet(net_cfg, seed=tr_cfg.seed + 2)
-    tr_cfg = replace(tr_cfg, seed=tr_cfg.seed + 3)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -222,11 +162,12 @@ def cmd_train(args):
         print(f"epoch {rec.epoch}: train {rec.train_loss:.4f} "
               f"val {rec.val_loss:.4f} dsc {rec.val_dsc:.4f}")
 
-    report = train(model, train_set, val_set, tr_cfg, log=log if args.verbose else None)
+    report = train(model, train_set, val_set, replace(tr_cfg, seed=tr_cfg.seed + 3),
+                   log=log if args.verbose else None)
     save_checkpoint(model, AdamState(model.named_params()), out / "best.ckpt")
     save_checkpoint(model, None, out / "final.ckpt")
     (out / "report.csv").write_text(report.csv())
-    (out / "config.txt").write_text(render_config(net_cfg, tr_cfg))
+    (out / "config.txt").write_text(render_config(net_cfg, tr_cfg))  # the seed as given
     print(f"best epoch {report.best_epoch}, best val loss {report.best_val_loss:.6f}")
     return 0
 

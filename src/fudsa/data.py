@@ -213,11 +213,10 @@ def read_manifest(path):
             continue
         if line.startswith("#"):
             continue
-        if line == "train:":
-            section = split.train_ids
-            continue
-        if line == "val:":
-            section = split.val_ids
+        if line in ("train:", "val:"):
+            if split is None:
+                raise InvalidArgument(f"{path}: {line!r} comes before the '# split seed=' line")
+            section = split.train_ids if line == "train:" else split.val_ids
             continue
         (ids if section is None else section).append(line)
     return ids, split

@@ -16,7 +16,7 @@ class LossConfig:
     beta: float = 0.3           # false-positive weight
     gamma: float = 4.0 / 3.0    # focal exponent, loss = (1 - TI)^(1/gamma)
     smooth: float = 1e-6
-    side_weights: tuple | None = None  # includes the final head; None = uniform
+    side_weights: tuple[float, ...] | None = None  # includes the final head; None = uniform
 
     def __post_init__(self):
         if abs(self.alpha + self.beta - 1.0) > 1e-9:

@@ -42,7 +42,7 @@ class NetworkConfig:
     base_channels: int = 16
     input_channels: int = 1
     reduction: int = 4
-    sdc_dilations: tuple = (1, 2, 4)
+    sdc_dilations: tuple[int, ...] = (1, 2, 4)
     upsample_mode: str = "bilinear"
     dtype: str = "f32"
     variant: VariantFlags = field(default_factory=VariantFlags)
@@ -52,6 +52,9 @@ class NetworkConfig:
             raise InvalidArgument(f"levels must be >= 2, got {self.levels}")
         if self.base_channels < 1:
             raise InvalidArgument(f"base_channels must be >= 1, got {self.base_channels}")
+        if self.reduction < 1 or any(d < 1 for d in self.sdc_dilations):
+            raise InvalidArgument(f"reduction and sdc_dilations must be >= 1, got "
+                                  f"{self.reduction} and {self.sdc_dilations}")
         if self.upsample_mode not in ("bilinear", "nearest"):
             raise InvalidArgument(f"unknown upsample mode {self.upsample_mode!r}")
         if self.dtype not in ("f32", "f64"):

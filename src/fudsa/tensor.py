@@ -208,7 +208,7 @@ def _bcast_check(a: Tensor, b: Tensor):
     return tuple(axes)
 
 
-def _reduce_to(g, shape, axes):
+def _reduce_to(g, axes):
     return g.sum(axis=axes, keepdims=True) if axes else g
 
 
@@ -218,7 +218,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
     def bwd(g):
         _accum(a, g)
-        _accum(b, _reduce_to(g, b.shape, axes))
+        _accum(b, _reduce_to(g, axes))
 
     _record(out, bwd)
     return out
@@ -230,7 +230,7 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
 
     def bwd(g):
         _accum(a, g)
-        _accum(b, -_reduce_to(g, b.shape, axes))
+        _accum(b, -_reduce_to(g, axes))
 
     _record(out, bwd)
     return out
@@ -242,7 +242,7 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
     def bwd(g):
         _accum(a, g * b.data)
-        _accum(b, _reduce_to(g * a.data, b.shape, axes))
+        _accum(b, _reduce_to(g * a.data, axes))
 
     _record(out, bwd)
     return out

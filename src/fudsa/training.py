@@ -6,21 +6,20 @@ import io
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import get_args, get_origin
 
 import numpy as np
 
+from . import schema
 from . import tensor as T
 from .errors import CorruptCheckpoint, InvalidArgument, InvalidState, NumericalDivergence
 from .losses import LossConfig, MetricsRecord, confusion_counts, supervised_loss
-from .network import FudsaNet, NetworkConfig, VariantFlags
+from .network import FudsaNet, NetworkConfig
 
 
 @dataclass(frozen=True)
 class TrainConfig:
     learning_rate: float = 1e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     batch_size: int = 4
     max_epochs: int = 300
     patience: int = 10
@@ -45,10 +44,13 @@ class AdamState:
         self.t = 0
 
 
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
+
 def adam_step(named_params, state: AdamState, cfg: TrainConfig):
     """One Adam update over all parameters; missing grads count as zero."""
     state.t += 1
-    b1, b2 = cfg.beta1, cfg.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     bc1 = 1.0 - b1 ** state.t
     bc2 = 1.0 - b2 ** state.t
     for name, p in named_params:
@@ -61,7 +63,7 @@ def adam_step(named_params, state: AdamState, cfg: TrainConfig):
         m += (1.0 - b1) * g
         v *= b2
         v += (1.0 - b2) * (g * g)
-        p.data -= cfg.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + cfg.eps)
+        p.data -= cfg.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
 
 
 @dataclass
@@ -98,15 +100,6 @@ def _stack(pairs, dtype):
     return T.Tensor(x), T.Tensor(y)
 
 
-def _ftl_value(p, y, cfg: LossConfig):
-    """Numpy focal Tversky for one image (forward value only)."""
-    tp = float((p * y).sum())
-    fn = float(y.sum()) - tp
-    fp = float(p.sum()) - tp
-    ti = (tp + cfg.smooth) / (tp + cfg.alpha * fn + cfg.beta * fp + cfg.smooth)
-    return (1.0 - ti) ** (1.0 / cfg.gamma)
-
-
 def evaluate(model: FudsaNet, dataset, threshold=0.5, loss_cfg: LossConfig | None = None,
              chunk=8):
     """Pooled confusion counts over the whole set; no parameter mutation.
@@ -123,11 +116,10 @@ def evaluate(model: FudsaNet, dataset, threshold=0.5, loss_cfg: LossConfig | Non
         x, y = _stack(pairs, dtype)
         out = model(x)
         heads = out.heads()
-        weights = loss_cfg.side_weights or [1.0 / len(heads)] * len(heads)
         for i in range(len(pairs)):
-            losses.append(sum(
-                w * _ftl_value(h.data[i], y.data[i], loss_cfg)
-                for w, h in zip(weights, heads)))
+            image_heads = [T.Tensor(h.data[i:i + 1]) for h in heads]
+            losses.append(
+                supervised_loss(image_heads, T.Tensor(y.data[i:i + 1]), loss_cfg).item())
         pred = (out.final_map.data >= threshold).astype(dtype)
         c = confusion_counts(pred, y.data)
         tp, fp, fn, tn = tp + c[0], fp + c[1], fn + c[2], tn + c[3]
@@ -204,45 +196,36 @@ def train(model: FudsaNet, train_set, val_set, cfg: TrainConfig,
 _CKPT_MAGIC = b"FUD1"
 
 
+# string fields stored as 0/1 flags: field -> (entry name, value stored as 1, as 0)
+_FLAG_ENTRIES = {"upsample_mode": ("upsample_bilinear", "bilinear", "nearest"),
+                 "dtype": ("f64", "f64", "f32")}
+
+
 def _config_entries(cfg: NetworkConfig):
-    v = cfg.variant
-    scalars = {
-        "cfg/levels": cfg.levels,
-        "cfg/base_channels": cfg.base_channels,
-        "cfg/input_channels": cfg.input_channels,
-        "cfg/reduction": cfg.reduction,
-        "cfg/upsample_bilinear": 1.0 if cfg.upsample_mode == "bilinear" else 0.0,
-        "cfg/f64": 1.0 if cfg.dtype == "f64" else 0.0,
-        "cfg/spatial_only": float(v.spatial_only),
-        "cfg/deep_supervision": float(v.deep_supervision),
-        "cfg/decoder_residuals": float(v.decoder_residuals),
-        "cfg/channel_branch_includes_sl": float(v.channel_branch_includes_sl),
-    }
-    entries = {k: np.full((1, 1, 1, 1), val, dtype=np.float64)
-               for k, val in scalars.items()}
-    entries["cfg/sdc_dilations"] = np.array(cfg.sdc_dilations, dtype=np.float64
-                                            ).reshape(1, -1, 1, 1)
-    return entries
+    """cfg/ entries: the scalar leaf fields in field order, then the tuples."""
+    scalars, tuples = {}, {}
+    for name, value in schema.leaf_items(cfg):
+        if isinstance(value, tuple):
+            tuples[f"cfg/{name}"] = np.array(value, dtype=np.float64).reshape(1, -1, 1, 1)
+            continue
+        if name in _FLAG_ENTRIES:
+            name, one, _ = _FLAG_ENTRIES[name]
+            value = value == one
+        scalars[f"cfg/{name}"] = np.full((1, 1, 1, 1), float(value), dtype=np.float64)
+    return {**scalars, **tuples}
 
 
 def _config_from_entries(entries):
-    def g(key):
-        return float(entries[key].reshape(-1)[0])
-
-    return NetworkConfig(
-        levels=int(g("cfg/levels")),
-        base_channels=int(g("cfg/base_channels")),
-        input_channels=int(g("cfg/input_channels")),
-        reduction=int(g("cfg/reduction")),
-        sdc_dilations=tuple(int(d) for d in entries["cfg/sdc_dilations"].reshape(-1)),
-        upsample_mode="bilinear" if g("cfg/upsample_bilinear") else "nearest",
-        dtype="f64" if g("cfg/f64") else "f32",
-        variant=VariantFlags(
-            spatial_only=bool(g("cfg/spatial_only")),
-            deep_supervision=bool(g("cfg/deep_supervision")),
-            decoder_residuals=bool(g("cfg/decoder_residuals")),
-            channel_branch_includes_sl=bool(g("cfg/channel_branch_includes_sl")),
-        ))
+    values = {}
+    for name, kind in schema.leaf_types(NetworkConfig).items():
+        if name in _FLAG_ENTRIES:
+            entry, one, zero = _FLAG_ENTRIES[name]
+            values[name] = one if entries[f"cfg/{entry}"].reshape(-1)[0] else zero
+        elif get_origin(kind) is tuple:
+            values[name] = tuple(map(get_args(kind)[0], entries[f"cfg/{name}"].reshape(-1)))
+        else:
+            values[name] = kind(entries[f"cfg/{name}"].reshape(-1)[0])
+    return schema.build(NetworkConfig, values)
 
 
 def save_checkpoint(model: FudsaNet, state: AdamState | None, path):

@@ -118,13 +118,6 @@ def test_attention_annihilates_zero_encoder_map():
     assert np.all(res.gated.data == 0.0)
 
 
-def test_attention_bypass_is_identity():
-    gate, _ = make_gate(level=2, base=4)
-    enc, dec = make_inputs(level=2, base=4)
-    res = gate(enc, dec, bypass_gates=True)
-    assert np.array_equal(res.gated.data, enc[-1].data)
-
-
 def test_attention_attenuates_elementwise():
     gate, _ = make_gate(level=2, base=4, seed=7)
     enc, dec = make_inputs(level=2, base=4, h=8, seed=8)

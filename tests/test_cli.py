@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
-from fudsa import cli
+from fudsa import cli, schema
 from fudsa import data as D
 from fudsa import tensor as T
 from fudsa.errors import InvalidArgument
 from fudsa.network import FudsaNet, NetworkConfig
-from fudsa.training import save_checkpoint
+from fudsa.training import TrainConfig, save_checkpoint
 
 
 def run(*argv):
@@ -67,6 +67,34 @@ def test_config_rejects_duplicate_and_malformed():
         cli.parse_config_text("just a line\n")
     with pytest.raises(InvalidArgument):
         cli.parse_config_text("spatial_only=yes\n")
+
+
+@pytest.mark.parametrize("line", ["levels=abc", "sdc_dilations=1,x", "learning_rate=fast"])
+def test_config_bad_value_names_the_line(line):
+    with pytest.raises(InvalidArgument, match="config line 2: bad"):
+        cli.parse_config_text("# first\n" + line + "\n")
+
+
+@pytest.mark.parametrize("line", ["levels=abc", "sdc_dilations=1,x", "learning_rate=fast",
+                                  "reduction=0", "sdc_dilations=1,0", "sdc_dilations=-1"])
+def test_train_bad_config_value_exits_2(tmp_path, line):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(line + "\n")
+    assert run("train", "--data", str(tmp_path / "none"), "--config", str(cfg),
+               "--out", str(tmp_path / "o")) == 2
+
+
+def test_config_keys_are_the_leaf_fields():
+    net = dict(schema.leaf_items(NetworkConfig()))
+    tr = dict(schema.leaf_items(TrainConfig()))
+    assert not set(net) & set(tr)
+    assert set(cli.parse_config_text(cli.render_config(NetworkConfig(), TrainConfig()))) \
+        == (set(net) | set(tr)) - {"side_weights"}
+    assert cli.parse_config_text("side_weights=0.5,0.5\n") == {"side_weights": (0.5, 0.5)}
+
+
+def test_build_configs_defaults_are_the_dataclass_defaults():
+    assert cli._build_configs({}) == (NetworkConfig(), TrainConfig())
 
 
 def test_config_comments_and_blanks_ok():
@@ -165,6 +193,29 @@ def test_train_missing_manifest(tmp_path):
 
 def test_train_unsplit_dataset_rejected(tmp_path, raw_dir):
     assert run("train", "--data", str(raw_dir), "--out", str(tmp_path / "o")) == 2
+
+
+def test_train_manifest_section_before_split_exits_2(tmp_path, data_dir, capsys):
+    manifest = data_dir / "manifest.txt"
+    lines = manifest.read_text().splitlines()
+    split_line = next(l for l in lines if l.startswith("# split"))
+    lines.remove(split_line)
+    manifest.write_text("\n".join(lines + [split_line]) + "\n")
+    assert run("train", "--data", str(data_dir), "--out", str(tmp_path / "o")) == 2
+    assert "before the '# split seed=' line" in capsys.readouterr().err
+
+
+def test_train_config_txt_reproduces_the_run(tmp_path, data_dir):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("levels=2\nbase_channels=4\nmax_epochs=2\nbatch_size=2\n")
+    first, again = tmp_path / "first", tmp_path / "again"
+    assert run("train", "--data", str(data_dir), "--config", str(cfg),
+               "--out", str(first), "--seed", "5") == 0
+    assert "seed=5\n" in (first / "config.txt").read_text()
+    assert run("train", "--data", str(data_dir), "--config", str(first / "config.txt"),
+               "--out", str(again)) == 0
+    assert (again / "report.csv").read_bytes() == (first / "report.csv").read_bytes()
+    assert (again / "config.txt").read_bytes() == (first / "config.txt").read_bytes()
 
 
 def test_train_config_file_applies(tmp_path, data_dir):
