@@ -89,8 +89,8 @@ def _build_configs(values):
 # subcommands
 
 def cmd_synth(args):
-    if args.size % 16:
-        raise InvalidArgument(f"--size {args.size} is not divisible by 16 (2^levels)")
+    if args.size < 1:
+        raise InvalidArgument(f"--size must be >= 1, got {args.size}")
     out = Path(args.out)
     (out / "images").mkdir(parents=True, exist_ok=True)
     (out / "masks").mkdir(parents=True, exist_ok=True)
@@ -107,8 +107,8 @@ def cmd_synth(args):
 
 
 def cmd_preprocess(args):
-    if args.size % 16:
-        raise InvalidArgument(f"--size {args.size} is not divisible by 16 (2^levels)")
+    if args.size < 1:
+        raise InvalidArgument(f"--size must be >= 1, got {args.size}")
     src, out = Path(args.indir), Path(args.out)
     ids, _ = D.read_manifest(src / "manifest.txt")
     pairs = []

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,6 +20,9 @@ class LossConfig:
     side_weights: tuple[float, ...] | None = None  # includes the final head; None = uniform
 
     def __post_init__(self):
+        values = (self.alpha, self.beta, self.gamma, self.smooth, *(self.side_weights or ()))
+        if not all(map(math.isfinite, values)):
+            raise InvalidArgument(f"loss config values must be finite, got {values}")
         if abs(self.alpha + self.beta - 1.0) > 1e-9:
             raise InvalidArgument(f"alpha + beta must equal 1, got {self.alpha + self.beta}")
         if self.gamma <= 0:

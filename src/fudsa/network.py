@@ -163,9 +163,11 @@ class FudsaNet(Module):
             attn[level] = res
             g = dl.block(T.concat_channels([res.gated, u]))
             if cfg.variant.decoder_residuals:
+                # project G^m at its own resolution, then upsample c channels: 1x1 conv
+                # and resampling commute, so the wide map never exists at this size
                 for conv, m in zip(dl.proj, range(level + 1, cfg.levels + 1)):
-                    g = T.add(g, conv(T.upsample(dec_maps[m], 1 << (m - level),
-                                                 mode=cfg.upsample_mode)))
+                    g = T.add(g, T.upsample(conv(dec_maps[m]), 1 << (m - level),
+                                            mode=cfg.upsample_mode))
             dec_maps[level] = g
             g_next = g
 

@@ -11,6 +11,7 @@ checks.
 
 from __future__ import annotations
 
+import functools
 import math
 import struct
 
@@ -421,8 +422,9 @@ def global_avg_pool(x: Tensor) -> Tensor:
     return out
 
 
+@functools.lru_cache(maxsize=32)
 def _interp_matrix(n_out: int, n_in: int, dtype):
-    """Bilinear weight matrix (n_out, n_in), align-corners-false, edge-clamped."""
+    """Bilinear weight matrix (n_out, n_in), align-corners-false, edge-clamped; read-only."""
     m = np.zeros((n_out, n_in), dtype=dtype)
     scale_ = n_in / n_out
     for o in range(n_out):
@@ -433,6 +435,7 @@ def _interp_matrix(n_out: int, n_in: int, dtype):
         i1c = min(max(i0 + 1, 0), n_in - 1)
         m[o, i0c] += 1.0 - t
         m[o, i1c] += t
+    m.flags.writeable = False
     return m
 
 

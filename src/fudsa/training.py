@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import io
+import math
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -28,8 +29,10 @@ class TrainConfig:
     loss: LossConfig = field(default_factory=LossConfig)
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise InvalidArgument(f"learning_rate must be > 0, got {self.learning_rate}")
+        if not 0 < self.learning_rate < math.inf:
+            raise InvalidArgument(f"learning_rate must be finite and > 0, got {self.learning_rate}")
+        if not math.isfinite(self.min_delta):
+            raise InvalidArgument(f"min_delta must be finite, got {self.min_delta}")
         if self.patience < 1:
             raise InvalidArgument(f"patience must be >= 1, got {self.patience}")
         if self.batch_size < 1:

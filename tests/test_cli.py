@@ -126,7 +126,23 @@ def test_synth_deterministic(tmp_path):
 
 def test_synth_rejects_bad_size(tmp_path):
     assert run("synth", "--out", str(tmp_path / "x"), "--count", "1",
-               "--size", "60") == 2
+               "--size", "0") == 2
+
+
+def test_synth_size_follows_the_model_levels(tmp_path):
+    # 40 px divides by 2^3, not 2^4: a 3-level model trains on it, a 4-level one is refused
+    raw, proc = tmp_path / "raw", tmp_path / "proc"
+    assert run("synth", "--out", str(raw), "--count", "6", "--size", "40",
+               "--seed", "100") == 0
+    assert run("preprocess", "--in", str(raw), "--out", str(proc),
+               "--size", "40", "--seed", "100") == 0
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("levels=3\nbase_channels=4\nmax_epochs=1\nbatch_size=2\n")
+    assert run("train", "--data", str(proc), "--config", str(cfg),
+               "--out", str(tmp_path / "l3")) == 0
+    cfg.write_text("levels=4\nbase_channels=4\nmax_epochs=1\nbatch_size=2\n")
+    assert run("train", "--data", str(proc), "--config", str(cfg),
+               "--out", str(tmp_path / "l4")) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -216,6 +232,15 @@ def test_train_config_txt_reproduces_the_run(tmp_path, data_dir):
                "--out", str(again)) == 0
     assert (again / "report.csv").read_bytes() == (first / "report.csv").read_bytes()
     assert (again / "config.txt").read_bytes() == (first / "config.txt").read_bytes()
+
+
+def test_train_non_finite_learning_rate_exits_2(tmp_path, data_dir, capsys):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("levels=2\nbase_channels=4\nmax_epochs=1\nlearning_rate=nan\n")
+    assert run("train", "--data", str(data_dir), "--config", str(cfg),
+               "--out", str(tmp_path / "o")) == 2
+    assert "learning_rate" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_train_config_file_applies(tmp_path, data_dir):

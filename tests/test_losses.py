@@ -101,6 +101,10 @@ def test_loss_config_validation():
         LossConfig(gamma=0)
     with pytest.raises(InvalidArgument):
         LossConfig(side_weights=(0.5, 0.6))
+    for bad in ({"gamma": float("nan")}, {"smooth": float("nan")}, {"alpha": float("nan")},
+                {"side_weights": (0.5, float("nan"), 0.5)}):
+        with pytest.raises(InvalidArgument):
+            LossConfig(**bad)
 
 
 class FakeOutputs:

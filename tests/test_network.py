@@ -163,6 +163,21 @@ def test_full_model_sensitive_to_residual_projections():
     assert not np.array_equal(base, model(x).final_map.data)
 
 
+def test_residual_upsamples_stay_narrow():
+    # decoder residuals are projected to c channels before they are upsampled,
+    # so no wide deep map is resampled onto a shallow level's extents
+    cfg = NetworkConfig(levels=4, base_channels=4)
+    model = FudsaNet(cfg, seed=14)
+    x = T.uniform((1, 1, 32, 32), 0, 1, seed=15)
+    with T.Tape() as tape:
+        model(x)
+    ups = [out for out, fn in tape.nodes if fn.__qualname__.startswith("upsample.")]
+    assert ups
+    for out in ups:
+        level = (32 // out.shape[2]).bit_length()  # extent 32 / 2^(level-1)
+        assert out.shape[1] <= 2 * cfg.channels_at(level), (out.shape, level)
+
+
 def test_deep_block_perturbation_reaches_shallow_output():
     # residual path: perturbing the deepest decoder block changes G^1
     cfg = small_cfg()

@@ -360,6 +360,27 @@ def test_upsample_bilinear_matches_pixel_oracle(rng):
                                      T.upsample(x, 2, mode="bilinear"))), [x])
 
 
+@pytest.mark.parametrize("mode", ["bilinear", "nearest"])
+@pytest.mark.parametrize("factor", [2, 4, 8])
+def test_upsample_commutes_with_1x1_conv(rng, mode, factor):
+    # the decoder residuals project before upsampling on this identity
+    x = T.Tensor(rng.normal(size=(2, 6, 3, 5)))
+    k = T.Tensor(rng.normal(size=(4, 6, 1, 1)))
+    b = T.Tensor(rng.normal(size=(1, 4, 1, 1)))
+    first = T.upsample(T.conv2d(x, k, b), factor, mode=mode)
+    second = T.conv2d(T.upsample(x, factor, mode=mode), k, b)
+    assert first.shape == second.shape == (2, 4, 3 * factor, 5 * factor)
+    assert np.max(np.abs(first.data - second.data)) <= 1e-12
+
+
+def test_interp_matrix_is_cached_read_only():
+    m = T._interp_matrix(16, 4, np.dtype(np.float32))
+    assert m is T._interp_matrix(16, 4, np.dtype(np.float32))
+    assert m.dtype == np.float32 and not m.flags.writeable
+    with pytest.raises(ValueError):
+        m[0, 0] = 1.0
+
+
 def test_upsample_factor_validation():
     with pytest.raises(InvalidArgument):
         T.upsample(T.zeros((1, 1, 2, 2)), 1)

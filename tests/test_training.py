@@ -82,6 +82,10 @@ def test_train_config_validation():
         TrainConfig(patience=0)
     with pytest.raises(InvalidArgument):
         TrainConfig(batch_size=0)
+    for bad in ({"learning_rate": float("nan")}, {"learning_rate": float("inf")},
+                {"min_delta": float("nan")}):
+        with pytest.raises(InvalidArgument):
+            TrainConfig(**bad)
 
 
 # ---------------------------------------------------------------------------
