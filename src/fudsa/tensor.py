@@ -119,8 +119,10 @@ def _accum(t: Tensor, g: np.ndarray):
     if not t._track:
         return
     if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad += g
+        # one pass instead of zero-filling and adding; 0 + g, so -0 becomes +0 as before
+        t.grad = np.add(g, 0.0, out=np.empty_like(t.data))
+    else:
+        t.grad += g
 
 
 def _make_out(data, *inputs):
@@ -342,17 +344,45 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor | None = None,
     res = _make_out(out, *inputs)
 
     def bwd(g):
-        g2 = g.transpose(1, 0, 2, 3).reshape(cout, -1)
+        # out.grad is usually channel-major already, which made the unscaled
+        # g2 a view.  Building the lowering before the rescaled copy, and
+        # dropping the copy before the scatter, keeps peak memory where it was.
+        cols = _im2col(x.data, *geom) if kernel._track else None
+        g2, unscale = _scaled(g.transpose(1, 0, 2, 3))
+        g2 = g2.reshape(cout, -1)
         if bias is not None:
-            _accum(bias, g2.sum(axis=1).reshape(1, cout, 1, 1))
+            _accum(bias, g2.sum(axis=1).reshape(1, cout, 1, 1) * unscale)
         if kernel._track:
             # (K, P) @ (P, Cout) measured about twice as fast as (Cout, P) @ (P, K)
-            _accum(kernel, (_im2col(x.data, *geom) @ g2.T).T.reshape(kernel.shape))
+            _accum(kernel, (cols @ g2.T).T.reshape(kernel.shape) * unscale)
+            del cols
         if x._track:
-            _accum(x, _col2im(w2.T @ g2, x.shape, *geom))
+            gx = w2.T @ g2
+            del g2
+            gx = _col2im(gx, x.shape, *geom)
+            gx *= unscale
+            _accum(x, gx)
 
     _record(res, bwd)
     return res
+
+
+def _scaled(g):
+    """C-contiguous copy of g times 2**k, and 2**-k to undo it.
+
+    Deep-supervision gradients shrink into the subnormal range, where
+    OpenBLAS GEMMs run about 30x slower.  k puts max|g| just below 2**64.
+    Scaling by a power of two is exact while values stay normal, so a
+    gradient whose products and sums did not underflow is bit-identical to
+    the unscaled one, and one that did underflow comes out more accurate.
+    k is clamped to 0..126, so both factors are normal float32 numbers,
+    and is 0 when g is all zero or holds a NaN or an infinity.
+    """
+    top = max(float(g.max()), -float(g.min()))  # NaN if any NaN; no |g| temporary
+    k = min(max(64 - math.frexp(top)[1], 0), 126) if 0 < top < math.inf else 0
+    gs = np.empty(g.shape, dtype=g.dtype)
+    np.multiply(g, 2.0 ** k, out=gs)  # copy and scale in one pass
+    return gs, 2.0 ** -k
 
 
 def _windows(kh, kw, s, d, hout, wout):
@@ -461,7 +491,10 @@ def upsample(x: Tensor, factor: int, mode: str = "bilinear") -> Tensor:
     out = _make_out(np.matmul(np.matmul(mh, x.data), mw.T), x)
 
     def bwd(g):
-        _accum(x, np.matmul(np.matmul(mh.T, g), mw))
+        gs, unscale = _scaled(g)
+        gx = np.matmul(np.matmul(mh.T, gs), mw)
+        gx *= unscale
+        _accum(x, gx)
 
     _record(out, bwd)
     return out
@@ -597,4 +630,7 @@ def _parse_ften(blob, offset=0):
     end = pos + count * dt.itemsize
     if end > len(blob):
         raise InvalidArgument("truncated FTEN payload")
-    return np.frombuffer(blob, dtype=dt, count=count, offset=pos).reshape(shape), end
+    try:
+        return np.frombuffer(blob, dtype=dt, count=count, offset=pos).reshape(shape), end
+    except ValueError as exc:  # more than 64 axes, or an empty array with huge extents
+        raise InvalidArgument(f"unsupported FTEN shape: {exc}") from exc

@@ -154,7 +154,7 @@ def train(model: FudsaNet, train_set, val_set, cfg: TrainConfig,
 
     for epoch in range(1, cfg.max_epochs + 1):
         order = np.arange(len(train_set))
-        np.random.default_rng(cfg.seed ^ epoch).shuffle(order)
+        np.random.default_rng((cfg.seed, epoch)).shuffle(order)
         batch_losses = []
         for b0 in range(0, len(order), cfg.batch_size):
             batch = [train_set[i] for i in order[b0:b0 + cfg.batch_size]]
@@ -225,10 +225,18 @@ def _config_from_entries(entries):
             entry, one, zero = _FLAG_ENTRIES[name]
             values[name] = one if entries[f"cfg/{entry}"].reshape(-1)[0] else zero
         elif get_origin(kind) is tuple:
-            values[name] = tuple(map(get_args(kind)[0], entries[f"cfg/{name}"].reshape(-1)))
+            item = get_args(kind)[0]
+            values[name] = tuple(_entry_value(item, v) for v in entries[f"cfg/{name}"].reshape(-1))
         else:
-            values[name] = kind(entries[f"cfg/{name}"].reshape(-1)[0])
+            values[name] = _entry_value(kind, entries[f"cfg/{name}"].reshape(-1)[0])
     return schema.build(NetworkConfig, values)
+
+
+def _entry_value(kind, v):
+    """A stored float as ``kind``; an int field holding NaN, inf or a fraction is corrupt."""
+    if kind is int and not float(v).is_integer():
+        raise InvalidArgument(f"integer config entry holds {float(v)}")
+    return kind(v)
 
 
 def save_checkpoint(model: FudsaNet, state: AdamState | None, path):
@@ -287,7 +295,7 @@ def load_checkpoint(path):
         state = None
         if "adam/t" in entries:
             state = AdamState([])
-            state.t = int(entries["adam/t"].reshape(-1)[0])
+            state.t = _entry_value(int, entries["adam/t"].reshape(-1)[0])
             for name, _ in model.named_params():
                 state.m[name] = entries[f"m/{name}"].astype(config.np_dtype)
                 state.v[name] = entries[f"v/{name}"].astype(config.np_dtype)

@@ -340,6 +340,19 @@ def test_predict_malformed_pgm_exits_2(tmp_path, capsys):
     assert "not an integer" in capsys.readouterr().err
 
 
+def test_predict_corrupt_checkpoint_exits_2(tmp_path, capsys):
+    # an FTEN rank byte above numpy's 64 axes once escaped as a bare ValueError
+    ckpt = tmp_path / "m.ckpt"
+    save_checkpoint(FudsaNet(NetworkConfig(levels=2, base_channels=2)), None, ckpt)
+    blob = bytearray(ckpt.read_bytes())
+    blob[blob.index(b"FTEN") + 6] = 200
+    ckpt.write_bytes(bytes(blob))
+    D.write_image01(tmp_path / "i.pgm", np.zeros((16, 16)))
+    assert run("predict", "--checkpoint", str(ckpt), "--image", str(tmp_path / "i.pgm"),
+               "--out", str(tmp_path / "o.pgm")) == 2
+    assert "FTEN shape" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # gradcheck
 

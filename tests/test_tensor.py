@@ -387,6 +387,138 @@ def test_upsample_factor_validation():
 
 
 # ---------------------------------------------------------------------------
+# power-of-two rescaling of output gradients in conv2d / upsample backward
+
+CONV_GEOMS = [(3, 1, 1, 1, True), (3, 1, 2, 2, True), (2, 2, 1, 0, False),
+              (1, 1, 1, 0, True), (3, 2, 1, 1, False)]  # k, stride, dilation, padding, bias
+
+
+def _op_grads(op, inputs, g):
+    """Gradients of ``inputs`` when the output gradient of ``op()`` is ``g``."""
+    for t in inputs:
+        t.grad = None
+    with T.Tape() as tape:
+        op()
+    (_, fn), = tape.nodes
+    fn(g)
+    return [t.grad for t in inputs]
+
+
+def _conv_grads_unscaled(x, k, g, s, d, p):
+    """The conv2d backward formula applied to g as it is: (gx, gk, gbias)."""
+    cout, _, kh, kw = k.shape
+    geom = (kh, kw, s, d, p) + g.shape[2:]
+    g2 = g.transpose(1, 0, 2, 3).reshape(cout, -1)
+    gk = (T._im2col(x, *geom) @ g2.T).T.reshape(k.shape)
+    gx = T._col2im(k.reshape(cout, -1).T @ g2, x.shape, *geom)
+    return gx, gk, g2.sum(axis=1).reshape(1, cout, 1, 1)
+
+
+def _conv_case(rng, dtype, k, s, d, p, bias, x_scale=1.0, g_scale=1.0):
+    x = T.Tensor((rng.normal(size=(2, 3, 9, 9)) * x_scale).astype(dtype), requires_grad=True)
+    kern = T.Tensor(rng.normal(size=(4, 3, k, k)).astype(dtype), requires_grad=True)
+    b = T.Tensor(rng.normal(size=(1, 4, 1, 1)).astype(dtype), requires_grad=True) if bias else None
+    inputs = [x, kern] + ([b] if bias else [])
+    out = T.conv2d(x, kern, b, stride=s, dilation=d, padding=p)
+    g = (rng.normal(size=out.shape) * g_scale).astype(dtype)
+    return inputs, (lambda: T.conv2d(x, kern, b, stride=s, dilation=d, padding=p)), g
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("k,s,d,p,bias", CONV_GEOMS)
+def test_conv_rescaled_backward_is_bit_identical(rng, dtype, k, s, d, p, bias):
+    # normal-range f32 and any f64: scaling by 2**k and back is exact
+    inputs, op, g = _conv_case(rng, dtype, k, s, d, p, bias)
+    got = _op_grads(op, inputs, g)
+    want = _conv_grads_unscaled(inputs[0].data, inputs[1].data, g, s, d, p)
+    for a, b in zip(got, want):
+        assert a.dtype == dtype and np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("factor", [2, 4])
+def test_upsample_rescaled_backward_is_bit_identical(rng, dtype, factor):
+    x = T.Tensor(rng.normal(size=(2, 3, 4, 5)).astype(dtype), requires_grad=True)
+    g = rng.normal(size=(2, 3, 4 * factor, 5 * factor)).astype(dtype)
+    gx, = _op_grads(lambda: T.upsample(x, factor), [x], g)
+    mh = T._interp_matrix(4 * factor, 4, np.dtype(dtype))
+    mw = T._interp_matrix(5 * factor, 5, np.dtype(dtype))
+    assert np.array_equal(gx, np.matmul(np.matmul(mh.T, g), mw))
+
+
+def test_conv_backward_accurate_for_subnormal_output_gradient(rng):
+    # An output gradient near 2**-135 is subnormal in f32, so unscaled every
+    # product in the weight-gradient GEMM underflows and keeps only ~14 bits
+    # (relative error about 2e-5).  The input gradient is itself subnormal
+    # here, so its final rounding dominates and it is not compared.
+    x = rng.normal(size=(4, 8, 16, 16))
+    k = rng.normal(size=(8, 8, 3, 3)) * 0.2
+    g = (rng.normal(size=(4, 8, 16, 16)) * 2.0 ** -135).astype(np.float32)
+    grads = {}
+    for dtype in (np.float32, np.float64):
+        xt = T.Tensor(x.astype(np.float32).astype(dtype), requires_grad=True)
+        kt = T.Tensor(k.astype(np.float32).astype(dtype), requires_grad=True)
+        _, grads[dtype] = _op_grads(lambda: T.conv2d(xt, kt, padding=1), [xt, kt],
+                                    g.astype(dtype))
+    ref = grads[np.float64]
+    assert np.abs(grads[np.float32] - ref).max() / np.abs(ref).max() <= 5e-6
+
+
+@pytest.mark.parametrize("special", [0.0, np.nan, np.inf])
+def test_rescaled_backward_keeps_zero_nan_and_inf(rng, special):
+    inputs, op, g = _conv_case(rng, np.float32, 3, 1, 1, 1, True)
+    x = T.Tensor(rng.normal(size=(1, 2, 3, 3)).astype(np.float32), requires_grad=True)
+    gu = np.zeros((1, 2, 6, 6), dtype=np.float32)
+    if special == 0.0:
+        g[...] = 0.0
+    else:
+        g[0, 1, 2, 3] = gu[0, 1, 2, 3] = special
+    with np.errstate(invalid="ignore"):  # inf - inf in the sums
+        grads = _op_grads(op, inputs, g) + _op_grads(lambda: T.upsample(x, 2), [x], gu)
+    for a in grads:
+        if special == 0.0:
+            assert np.array_equal(a, np.zeros_like(a))
+        else:
+            assert not np.isfinite(a).all()
+
+
+def test_rescaled_conv_backward_finite_for_huge_inputs(rng):
+    # 2**k puts max|g| near 2**64; with |x| ~ 1e12 the products stay far from
+    # the f32 overflow at 2**128
+    inputs, op, g = _conv_case(rng, np.float32, 3, 1, 1, 1, True, x_scale=1e12, g_scale=1e-3)
+    got = _op_grads(op, inputs, g)
+    want = _conv_grads_unscaled(*(t.data.astype(np.float64) for t in inputs[:2]),
+                                g.astype(np.float64), 1, 1, 1)
+    for a, b in zip(got, want):
+        assert np.isfinite(a).all()
+        assert np.abs(a - b).max() <= 1e-5 * np.abs(b).max()
+
+
+def test_scaled_lifts_subnormals_exactly(rng):
+    tiny = np.finfo(np.float32).tiny
+    g = (rng.normal(size=(16, 4, 8, 8)) * 1e-12).astype(np.float32)
+    sub = rng.random(g.shape) < 0.05
+    g[sub] = (rng.normal(size=sub.sum()) * 1e-40).astype(np.float32)
+    view = g.transpose(1, 0, 2, 3)
+    assert 0.04 < np.mean((g != 0) & (np.abs(g) < tiny)) < 0.06
+    gs, unscale = T._scaled(view)
+    assert gs.flags.c_contiguous and not np.shares_memory(gs, g)
+    assert not ((gs != 0) & (np.abs(gs) < tiny)).any()
+    assert 2.0 ** 63 <= np.abs(gs).max() < 2.0 ** 64
+    assert np.array_equal(gs * np.float32(unscale), view)
+
+
+@pytest.mark.parametrize("value,unscale", [(2.0 ** -149, 2.0 ** -126), (2.0 ** 70, 1.0),
+                                           (0.0, 1.0), (np.nan, 1.0), (-np.inf, 1.0)])
+def test_scaled_exponent_is_clamped(value, unscale):
+    # both factors stay normal f32 numbers; nothing to gain from zero or non-finite
+    g = np.full((1, 1, 2, 2), value, dtype=np.float32)
+    gs, got = T._scaled(g)
+    assert got == unscale
+    assert np.array_equal(gs * np.float32(got), g, equal_nan=True)
+
+
+# ---------------------------------------------------------------------------
 # activations / dense / concat
 
 def test_sigmoid_symmetry_point():

@@ -1,8 +1,11 @@
+import struct
+
 import numpy as np
 import pytest
 
 from fudsa import data as D
 from fudsa import tensor as T
+from fudsa import training
 from fudsa.errors import (CorruptCheckpoint, InvalidArgument, InvalidState,
                           NumericalDivergence)
 from fudsa.losses import LossConfig
@@ -146,6 +149,23 @@ def test_train_identical_seeds_reproduce_loss_curve():
     a, b = reps
     assert [r.train_loss for r in a.epochs] == [r.train_loss for r in b.epochs]
     assert [r.val_loss for r in a.epochs] == [r.val_loss for r in b.epochs]
+
+
+def test_train_shuffle_streams_differ_across_seed_and_epoch(monkeypatch):
+    # a seed-XOR-epoch stream gave seed 1 at epoch 2 the order of seed 2 at epoch 1
+    pairs = tiny_pairs(8)
+    batches = []
+    stack = training._stack
+    monkeypatch.setattr(training, "_stack",
+                        lambda b, dtype: batches.append([id(p) for p in b]) or stack(b, dtype))
+
+    def epoch_orders(seed, epochs):
+        batches.clear()
+        cfg = TrainConfig(batch_size=len(pairs), max_epochs=epochs, patience=epochs, seed=seed)
+        train(small_model(seed=1), pairs, pairs[:1], cfg)
+        return [b for b in batches if len(b) == len(pairs)]
+
+    assert epoch_orders(1, 2)[1] != epoch_orders(2, 1)[0]
 
 
 def test_train_rejects_empty_sets():
@@ -326,6 +346,57 @@ def test_checkpoint_trailing_garbage(tmp_path):
     save_checkpoint(model, None, path)
     path.write_bytes(path.read_bytes() + b"extra")
     with pytest.raises(CorruptCheckpoint):
+        load_checkpoint(path)
+
+
+def _ften_header_bytes(blob):
+    """Offsets of every FTEN version, dtype, rank and extent byte in a FUD1 blob."""
+    (count,) = struct.unpack_from("<I", blob, 4)
+    pos, offsets = 8, []
+    for _ in range(count):
+        (nlen,) = struct.unpack_from("<H", blob, pos)
+        pos += 2 + nlen
+        code, rank = blob[pos + 5], blob[pos + 6]
+        offsets += [pos + 4, pos + 5, pos + 6] + list(range(pos + 12, pos + 12 + 8 * rank))
+        shape = struct.unpack_from(f"<{rank}Q", blob, pos + 12)
+        pos += 12 + 8 * rank + int(np.prod(shape)) * (4, 8)[code]
+    assert pos == len(blob)
+    return offsets
+
+
+def test_checkpoint_seeded_corruption_raises_corrupt_checkpoint(tmp_path):
+    # a changed FTEN header byte or a cut anywhere must end as CorruptCheckpoint,
+    # never as a bare ValueError from numpy (rank > 64, extents too big to index)
+    model = small_model(seed=3)
+    path = tmp_path / "c.ckpt"
+    save_checkpoint(model, AdamState(list(model.named_params())), path)
+    blob = path.read_bytes()
+    header = _ften_header_bytes(blob)
+    rng = np.random.default_rng(0)
+    bad = tmp_path / "bad.ckpt"
+    for case in range(600):
+        if case % 2:
+            b = bytearray(blob)
+            i = header[rng.integers(len(header))]
+            b[i] = (b[i] + rng.integers(1, 256)) % 256
+        else:
+            b = blob[:rng.integers(len(blob))]
+        bad.write_bytes(bytes(b))
+        with pytest.raises(CorruptCheckpoint):
+            load_checkpoint(bad)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, 2.5])
+def test_checkpoint_rejects_non_integer_config_entry(tmp_path, value):
+    path = tmp_path / "c.ckpt"
+    save_checkpoint(small_model(seed=3), None, path)
+    blob = bytearray(path.read_bytes())
+    name = b"cfg/levels"
+    at = blob.index(name) + len(name) + 12 + 4 * 8  # past the FTEN header of a rank-4 entry
+    assert struct.unpack_from("<d", blob, at) == (2.0,)
+    struct.pack_into("<d", blob, at, value)
+    path.write_bytes(bytes(blob))
+    with pytest.raises(CorruptCheckpoint, match="integer config entry"):
         load_checkpoint(path)
 
 
