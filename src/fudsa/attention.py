@@ -64,25 +64,6 @@ class AttentionGate(Module):
                 f"decoder volume has {g_next.shape[1]} channels, expected {2 * self.channels[-1]}")
         return self.reduce(g_next)
 
-    def channel_gate(self, s_maps, d_next):
-        """W_cha from the summed channel-branch inputs (SDC -> GAP -> MLP)."""
-        g_add = d_next
-        for s in s_maps:
-            if s.shape != d_next.shape:
-                raise ShapeMismatch(f"summand shape {s.shape} != {d_next.shape}")
-            g_add = T.add(g_add, s)
-        return self.mlp(T.global_avg_pool(self.sdc(g_add)))
-
-    def spatial_gate(self, s_maps, d_next):
-        """Q: conv3x3 -> conv1x1 -> sigmoid -> 2x upsample of the summed inputs."""
-        acc = d_next
-        for s in s_maps:
-            if s.shape != d_next.shape:
-                raise ShapeMismatch(f"summand shape {s.shape} != {d_next.shape}")
-            acc = T.add(acc, s)
-        gate = T.sigmoid(self.spatial_conv1(self.spatial_conv3(acc)))
-        return T.upsample(gate, 2, mode=self.upsample_mode)
-
     def __call__(self, encoder_maps, decoder_map) -> AttentionResult:
         if len(encoder_maps) != self.level:
             raise ShapeMismatch(
@@ -90,15 +71,23 @@ class AttentionGate(Module):
         e_l = encoder_maps[-1]
         d_next = self.reduce_decoder(decoder_map)
         s_maps = [chain(e) for chain, e in zip(self.match_chains, encoder_maps)]
+        sums = [d_next]  # running sum: D, D + S^1, ..., D + S^1 + ... + S^l
+        for s in s_maps:
+            if s.shape != d_next.shape:
+                raise ShapeMismatch(f"summand shape {s.shape} != {d_next.shape}")
+            sums.append(T.add(sums[-1], s))
 
         if self.spatial_only:
             w_cha = T.constant((e_l.shape[0], e_l.shape[1], 1, 1), 1.0, dtype=e_l.dtype)
             e_tilde = e_l
         else:
-            chan_inputs = s_maps if self.include_sl_in_channel else s_maps[:-1]
-            w_cha = self.channel_gate(chan_inputs, d_next)
+            # W_cha: SDC -> GAP -> MLP of the sum up to S^(l-1), or up to S^l
+            g_add = sums[-1] if self.include_sl_in_channel else sums[-2]
+            w_cha = self.mlp(T.global_avg_pool(self.sdc(g_add)))
             e_tilde = T.mul(e_l, w_cha)
 
-        q = self.spatial_gate(s_maps, d_next)
+        # Q: conv3x3 -> conv1x1 -> sigmoid -> 2x upsample of the full sum
+        q = T.sigmoid(self.spatial_conv1(self.spatial_conv3(sums[-1])))
+        q = T.upsample(q, 2, mode=self.upsample_mode)
         e_hat = T.mul(e_tilde, q)
         return AttentionResult(e_hat, w_cha, q, d_next, s_maps)

@@ -118,9 +118,10 @@ def cmd_preprocess(args):
         mask = T.from_array(D.read_mask(src / "masks" / f"{ident}.pgm"))
         pairs.append(D.resize_pair(D.SamplePair(img, mask, ident), args.size))
     pairs = D.filter_lesion_slices(pairs)
-    if len(pairs) < 2:
-        raise InvalidArgument(f"only {len(pairs)} lesion slices; need at least 2 to split")
     split = D.split_dataset([p.identifier for p in pairs], args.seed + 1)
+    if not split.val_ids:
+        raise InvalidArgument(
+            f"only {len(pairs)} lesion slices; the split leaves none for validation")
     (out / "images").mkdir(parents=True, exist_ok=True)
     (out / "masks").mkdir(parents=True, exist_ok=True)
     for p in pairs:
@@ -133,15 +134,14 @@ def cmd_preprocess(args):
     return 0
 
 
-def _load_split(data_dir):
-    root = Path(data_dir)
+def _read_split(root):
     manifest = root / "manifest.txt"
     if not manifest.exists():
         raise InvalidArgument(f"missing manifest: {manifest}")
-    ids, split = D.read_manifest(manifest)
+    _, split = D.read_manifest(manifest)
     if split is None:
         raise InvalidArgument(f"{manifest} has no split sections; run preprocess first")
-    return (D.load_pairs(root, split.train_ids), D.load_pairs(root, split.val_ids))
+    return split
 
 
 def cmd_train(args):
@@ -152,7 +152,9 @@ def cmd_train(args):
     if args.variant:
         net_cfg = net_cfg.with_variant(args.variant)
 
-    train_set, val_set = _load_split(args.data)
+    root = Path(args.data)
+    split = _read_split(root)
+    train_set, val_set = D.load_pairs(root, split.train_ids), D.load_pairs(root, split.val_ids)
     model = FudsaNet(net_cfg, seed=tr_cfg.seed + 2)
 
     out = Path(args.out)
@@ -175,15 +177,11 @@ def cmd_train(args):
 def cmd_eval(args):
     model, _ = load_checkpoint(args.checkpoint)
     root = Path(args.data)
-    _, split = D.read_manifest(root / "manifest.txt")
-    if split is None:
-        raise InvalidArgument("dataset has no split; run preprocess first")
+    split = _read_split(root)
     ids = split.train_ids if args.split == "train" else split.val_ids
+    if not ids:
+        raise InvalidArgument(f"the {args.split} split of {root / 'manifest.txt'} is empty")
     pairs = D.load_pairs(root, ids)
-    size = pairs[0].image.shape[2]
-    if size % (1 << model.config.levels):
-        raise InvalidArgument(
-            f"dataset extent {size} incompatible with a {model.config.levels}-level model")
     record, _ = evaluate(model, pairs)
     print(METRICS_CSV_HEADER)
     print(metrics_csv_row(args.split, len(pairs), record))
@@ -193,10 +191,6 @@ def cmd_eval(args):
 def cmd_predict(args):
     model, _ = load_checkpoint(args.checkpoint)
     img = D.read_image01(args.image)
-    div = 1 << model.config.levels
-    if img.shape[0] % div or img.shape[1] % div:
-        raise InvalidArgument(
-            f"image extents {img.shape} must be divisible by 2^{model.config.levels}")
     x = T.Tensor(img[np.newaxis, np.newaxis].astype(model.config.np_dtype))
     out = model(x)
     mask = (out.final_map.data[0, 0] >= 0.5).astype(np.uint8)
@@ -212,8 +206,6 @@ def cmd_predict(args):
 
 
 def cmd_gradcheck(args):
-    if args.size % (1 << args.levels):
-        raise InvalidArgument(f"--size {args.size} not divisible by 2^{args.levels}")
     cfg = NetworkConfig(levels=args.levels, base_channels=args.channels,
                         dtype=args.precision)
     model = FudsaNet(cfg, seed=args.seed + 2)
@@ -221,8 +213,7 @@ def cmd_gradcheck(args):
     x = T.Tensor(pair.image.data.astype(cfg.np_dtype))
     y = T.Tensor(pair.mask.data.astype(cfg.np_dtype))
     tol = 1e-5 if args.precision == "f64" else 1e-3
-    results = gradient_check(model, x, y, n_samples=args.samples,
-                             seed=args.seed + 4, corrupt=args.corrupt)
+    results = gradient_check(model, x, y, n_samples=args.samples, seed=args.seed + 4)
     failures = []
     for name, err in results:
         status = "ok" if err < tol else "FAIL"
@@ -297,7 +288,6 @@ def build_parser():
     p.add_argument("--precision", choices=("f32", "f64"), default="f64")
     p.add_argument("--samples", type=int, default=20)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--corrupt", help=argparse.SUPPRESS)
     p.set_defaults(fn=cmd_gradcheck)
 
     return ap

@@ -219,6 +219,13 @@ def read_manifest(path):
             section = split.train_ids if line == "train:" else split.val_ids
             continue
         (ids if section is None else section).append(line)
+    if split is not None:
+        both = set(split.train_ids) & set(split.val_ids)
+        if both:
+            raise InvalidArgument(f"{path}: ids under both train: and val: {sorted(both)}")
+        unknown = set(split.train_ids + split.val_ids) - set(ids)
+        if unknown:
+            raise InvalidArgument(f"{path}: split ids not listed above the split {sorted(unknown)}")
     return ids, split
 
 

@@ -125,15 +125,16 @@ def _accum(t: Tensor, g: np.ndarray):
         t.grad += g
 
 
-def _make_out(data, *inputs):
-    """Wrap op output; tracked iff a tape is live and some input is tracked."""
-    tracked = _active_tape() is not None and any(t._track for t in inputs)
-    return Tensor(data, _track=tracked)
-
-
-def _record(out: Tensor, fn):
+def _op(data, bwd, *inputs):
+    """Wrap an op's output; if a tape is live and some input is tracked, the
+    output is tracked and ``(out, bwd)`` goes on the tape.  None inputs (an
+    absent bias) are skipped."""
+    tape = _active_tape()
+    out = Tensor(data, _track=tape is not None
+                 and any(t is not None and t._track for t in inputs))
     if out._track:
-        _active_tape().nodes.append((out, fn))
+        tape.nodes.append((out, bwd))
+    return out
 
 
 def backward(loss: Tensor, tape: Tape):
@@ -217,77 +218,62 @@ def _reduce_to(g, axes):
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     axes = _bcast_check(a, b)
-    out = _make_out(a.data + b.data, a, b)
 
     def bwd(g):
         _accum(a, g)
         _accum(b, _reduce_to(g, axes))
 
-    _record(out, bwd)
-    return out
+    return _op(a.data + b.data, bwd, a, b)
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
     axes = _bcast_check(a, b)
-    out = _make_out(a.data - b.data, a, b)
 
     def bwd(g):
         _accum(a, g)
         _accum(b, -_reduce_to(g, axes))
 
-    _record(out, bwd)
-    return out
+    return _op(a.data - b.data, bwd, a, b)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     axes = _bcast_check(a, b)
-    out = _make_out(a.data * b.data, a, b)
 
     def bwd(g):
         _accum(a, g * b.data)
         _accum(b, _reduce_to(g * a.data, axes))
 
-    _record(out, bwd)
-    return out
+    return _op(a.data * b.data, bwd, a, b)
 
 
 def div(a: Tensor, b: Tensor) -> Tensor:
     if a.shape != b.shape:
         raise ShapeMismatch(f"div needs equal shapes, got {a.shape} vs {b.shape}")
-    out = _make_out(a.data / b.data, a, b)
 
     def bwd(g):
         _accum(a, g / b.data)
         _accum(b, -g * a.data / (b.data * b.data))
 
-    _record(out, bwd)
-    return out
+    return _op(a.data / b.data, bwd, a, b)
 
 
 def scale(a: Tensor, c) -> Tensor:
     c = float(c)
-    out = _make_out(a.data * c, a)
-    _record(out, lambda g: _accum(a, g * c))
-    return out
+    return _op(a.data * c, lambda g: _accum(a, g * c), a)
 
 
 def add_scalar(a: Tensor, c) -> Tensor:
-    out = _make_out(a.data + float(c), a)
-    _record(out, lambda g: _accum(a, g))
-    return out
+    return _op(a.data + float(c), lambda g: _accum(a, g), a)
 
 
 def rsub_scalar(a: Tensor, c) -> Tensor:
     """c - a."""
-    out = _make_out(float(c) - a.data, a)
-    _record(out, lambda g: _accum(a, -g))
-    return out
+    return _op(float(c) - a.data, lambda g: _accum(a, -g), a)
 
 
 def power(a: Tensor, exponent) -> Tensor:
     """Elementwise a**e for a >= 0; subgradient 0 where a == 0 and e < 1."""
     e = float(exponent)
-    out = _make_out(np.power(a.data, e), a)
 
     def bwd(g):
         base = a.data
@@ -298,15 +284,13 @@ def power(a: Tensor, exponent) -> Tensor:
             d[~nz] = 0.0 if e > 1.0 else e
         _accum(a, g * d)
 
-    _record(out, bwd)
-    return out
+    return _op(np.power(a.data, e), bwd, a)
 
 
 def tsum(a: Tensor) -> Tensor:
     """Sum of all elements, as a (1,1,1,1) tensor."""
-    out = _make_out(a.data.sum().reshape(1, 1, 1, 1), a)
-    _record(out, lambda g: _accum(a, np.broadcast_to(g, a.shape).copy()))
-    return out
+    return _op(a.data.sum().reshape(1, 1, 1, 1),
+               lambda g: _accum(a, np.broadcast_to(g, a.shape)), a)
 
 
 # ---------------------------------------------------------------------------
@@ -340,9 +324,6 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor | None = None,
     if bias is not None:
         out += bias.data
 
-    inputs = (x, kernel) if bias is None else (x, kernel, bias)
-    res = _make_out(out, *inputs)
-
     def bwd(g):
         # out.grad is usually channel-major already, which made the unscaled
         # g2 a view.  Building the lowering before the rescaled copy, and
@@ -363,8 +344,7 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor | None = None,
             gx *= unscale
             _accum(x, gx)
 
-    _record(res, bwd)
-    return res
+    return _op(out, bwd, x, kernel, bias)
 
 
 def _scaled(g):
@@ -429,7 +409,6 @@ def max_pool2(x: Tensor) -> Tensor:
     win = x.data.reshape(n, c, h // 2, 2, w // 2, 2).transpose(0, 1, 2, 4, 3, 5)
     win = win.reshape(n, c, h // 2, w // 2, 4)
     idx = win.argmax(axis=-1)  # first occurrence, row-major within the window
-    out = _make_out(np.take_along_axis(win, idx[..., None], axis=-1)[..., 0], x)
 
     def bwd(g):
         gwin = np.zeros((n, c, h // 2, w // 2, 4), dtype=g.dtype)
@@ -437,19 +416,13 @@ def max_pool2(x: Tensor) -> Tensor:
         gx = gwin.reshape(n, c, h // 2, w // 2, 2, 2).transpose(0, 1, 2, 4, 3, 5)
         _accum(x, gx.reshape(n, c, h, w))
 
-    _record(out, bwd)
-    return out
+    return _op(np.take_along_axis(win, idx[..., None], axis=-1)[..., 0], bwd, x)
 
 
 def global_avg_pool(x: Tensor) -> Tensor:
-    n, c, h, w = x.shape
-    out = _make_out(x.data.mean(axis=(2, 3), keepdims=True), x)
-
-    def bwd(g):
-        _accum(x, np.broadcast_to(g / (h * w), x.shape).copy())
-
-    _record(out, bwd)
-    return out
+    h, w = x.shape[2:]
+    return _op(x.data.mean(axis=(2, 3), keepdims=True),
+               lambda g: _accum(x, np.broadcast_to(g / (h * w), x.shape)), x)
 
 
 @functools.lru_cache(maxsize=32)
@@ -478,17 +451,11 @@ def upsample(x: Tensor, factor: int, mode: str = "bilinear") -> Tensor:
     f = int(factor)
 
     if mode == "nearest":
-        out = _make_out(x.data.repeat(f, axis=2).repeat(f, axis=3), x)
-
-        def bwd(g):
-            _accum(x, g.reshape(n, c, h, f, w, f).sum(axis=(3, 5)))
-
-        _record(out, bwd)
-        return out
+        return _op(x.data.repeat(f, axis=2).repeat(f, axis=3),
+                   lambda g: _accum(x, g.reshape(n, c, h, f, w, f).sum(axis=(3, 5))), x)
 
     mh = _interp_matrix(f * h, h, x.data.dtype)
     mw = _interp_matrix(f * w, w, x.data.dtype)
-    out = _make_out(np.matmul(np.matmul(mh, x.data), mw.T), x)
 
     def bwd(g):
         gs, unscale = _scaled(g)
@@ -496,17 +463,14 @@ def upsample(x: Tensor, factor: int, mode: str = "bilinear") -> Tensor:
         gx *= unscale
         _accum(x, gx)
 
-    _record(out, bwd)
-    return out
+    return _op(np.matmul(np.matmul(mh, x.data), mw.T), bwd, x)
 
 
 # ---------------------------------------------------------------------------
 # activations / dense / concat
 
 def relu(x: Tensor) -> Tensor:
-    out = _make_out(np.maximum(x.data, 0), x)
-    _record(out, lambda g: _accum(x, g * (x.data > 0)))
-    return out
+    return _op(np.maximum(x.data, 0), lambda g: _accum(x, g * (x.data > 0)), x)
 
 
 def sigmoid(x: Tensor) -> Tensor:
@@ -517,9 +481,7 @@ def sigmoid(x: Tensor) -> Tensor:
     y[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
     ez = np.exp(z[~pos])
     y[~pos] = ez / (1.0 + ez)
-    out = _make_out(y, x)
-    _record(out, lambda g: _accum(x, g * y * (1.0 - y)))
-    return out
+    return _op(y, lambda g: _accum(x, g * y * (1.0 - y)), x)
 
 
 def dense(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
@@ -537,8 +499,6 @@ def dense(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
         if bias.shape != (1, cout, 1, 1):
             raise ShapeMismatch(f"bias must be (1,{cout},1,1), got {bias.shape}")
         y = y + bias.data.reshape(1, cout)
-    inputs = (x, weight) if bias is None else (x, weight, bias)
-    out = _make_out(y.reshape(n, cout, 1, 1), *inputs)
 
     def bwd(g):
         g2 = g.reshape(n, cout)
@@ -547,8 +507,7 @@ def dense(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
         if bias is not None:
             _accum(bias, g2.sum(axis=0).reshape(1, cout, 1, 1))
 
-    _record(out, bwd)
-    return out
+    return _op(y.reshape(n, cout, 1, 1), bwd, x, weight, bias)
 
 
 def concat_channels(xs) -> Tensor:
@@ -560,15 +519,13 @@ def concat_channels(xs) -> Tensor:
         if t.shape[0] != n or t.shape[2] != h or t.shape[3] != w:
             raise ShapeMismatch(
                 f"concat operands must share N,H,W: {xs[0].shape} vs {t.shape}")
-    out = _make_out(np.concatenate([t.data for t in xs], axis=1), *xs)
     offsets = np.cumsum([0] + [t.shape[1] for t in xs])
 
     def bwd(g):
         for t, lo, hi in zip(xs, offsets[:-1], offsets[1:]):
             _accum(t, g[:, lo:hi])
 
-    _record(out, bwd)
-    return out
+    return _op(np.concatenate([t.data for t in xs], axis=1), bwd, *xs)
 
 
 # ---------------------------------------------------------------------------

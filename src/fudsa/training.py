@@ -282,6 +282,14 @@ def load_checkpoint(path):
         if pos != len(blob):
             raise CorruptCheckpoint(f"{path}: trailing bytes")
         config = _config_from_entries(entries)
+        # FudsaNet allocates by levels and base_channels: match them to the stored encoder first
+        first = entries.get("p/encoder.0.conv1.weight")
+        if (first is None or first.shape != (config.base_channels, config.input_channels, 3, 3)
+                or f"p/encoder.{config.levels - 1}.conv1.weight" not in entries
+                or f"p/encoder.{config.levels}.conv1.weight" in entries):
+            raise CorruptCheckpoint(
+                f"{path}: cfg levels={config.levels}, base_channels={config.base_channels}, "
+                f"input_channels={config.input_channels} do not match the stored encoder")
         model = FudsaNet(config, seed=None)
         for name, p in model.named_params():
             key = f"p/{name}"
@@ -310,13 +318,11 @@ def load_checkpoint(path):
 # finite-difference gradient check
 
 def gradient_check(model: FudsaNet, x: T.Tensor, y: T.Tensor,
-                   loss_cfg: LossConfig | None = None, n_samples=20,
-                   seed=0, corrupt=None):
+                   loss_cfg: LossConfig | None = None, n_samples=20, seed=0):
     """Compare analytic parameter gradients against central differences.
 
     Returns a list of (name, max_relative_error) using the error measure
-    |analytic - numeric| / max(1, |numeric|).  ``corrupt`` names a parameter
-    whose analytic gradient is deliberately offset (harness sensitivity hook).
+    |analytic - numeric| / max(1, |numeric|).
 
     Parameters are jittered in place to a generic point first.  Freshly
     built models have zero biases, and piecewise-constant inputs then leave
@@ -326,10 +332,6 @@ def gradient_check(model: FudsaNet, x: T.Tensor, y: T.Tensor,
     loss_cfg = loss_cfg or LossConfig()
     f64 = model.config.dtype == "f64"
     h = 1e-6 if f64 else 1e-3
-
-    names = [name for name, _ in model.named_params()]
-    if corrupt is not None and corrupt not in names:
-        raise InvalidArgument(f"no parameter named {corrupt!r}")
 
     jitter = np.random.default_rng(seed + 1)
     for _, p in model.named_params():
@@ -346,8 +348,6 @@ def gradient_check(model: FudsaNet, x: T.Tensor, y: T.Tensor,
     results = []
     for name, p in model.named_params():
         analytic = p.grad if p.grad is not None else np.zeros_like(p.data)
-        if name == corrupt:
-            analytic = analytic + 1.0
         flat = p.data.reshape(-1)
         n = min(n_samples, flat.size)
         coords = rng.choice(flat.size, size=n, replace=False)

@@ -154,6 +154,24 @@ def test_include_sl_flag_changes_channel_gate():
     assert not np.array_equal(ra.channel_gate.data, rb.channel_gate.data)
 
 
+@pytest.mark.parametrize("include_sl", [False, True])
+@pytest.mark.parametrize("level", [1, 2, 3])
+def test_gate_sums_its_inputs_once(monkeypatch, level, include_sl):
+    # one running sum D + S^1 + ... + S^l feeds both branches: l adds in all
+    gate, _ = make_gate(level=level, base=2, seed=17, include_sl_in_channel=include_sl)
+    enc, dec = make_inputs(level=level, base=2, seed=18)
+    sums, real_add = [], T.add
+
+    def add(a, b):
+        sums.append(real_add(a, b))
+        return sums[-1]
+
+    monkeypatch.setattr(T, "add", add)
+    with T.Tape() as tape:
+        gate(enc, dec)
+    assert sum(any(out is t for t in sums) for out, _ in tape.nodes) == level
+
+
 def test_spatial_only_pins_channel_gate():
     gate, _ = make_gate(level=2, base=4, seed=13, spatial_only=True)
     enc, dec = make_inputs(level=2, base=4, seed=14)

@@ -131,6 +131,15 @@ def test_manifest_roundtrip(tmp_path):
     assert got_sp.val_ids == sp.val_ids
 
 
+@pytest.mark.parametrize("train,val", [(["a", "b"], ["b", "c"]),   # b in both
+                                       (["a", "b"], ["z"])])        # z not listed
+def test_manifest_rejects_leaking_split(tmp_path, train, val):
+    path = tmp_path / "manifest.txt"
+    D.write_manifest(path, ["a", "b", "c"], D.SplitManifest(train, val, 0))
+    with pytest.raises(InvalidArgument, match="under both|not listed"):
+        D.read_manifest(path)
+
+
 def test_manifest_without_split(tmp_path):
     path = tmp_path / "manifest.txt"
     D.write_manifest(path, ["a", "b"])

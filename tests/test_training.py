@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -400,6 +401,27 @@ def test_checkpoint_rejects_non_integer_config_entry(tmp_path, value):
         load_checkpoint(path)
 
 
+@pytest.mark.parametrize("name,value", [(b"cfg/levels", 131072.0), (b"cfg/levels", 3.0),
+                                        (b"cfg/base_channels", 2.0 ** 20),
+                                        (b"cfg/input_channels", 4096.0)])
+def test_checkpoint_geometry_checked_before_building(tmp_path, name, value):
+    # a large finite levels or channel count once made load_checkpoint allocate GiBs
+    path = tmp_path / "c.ckpt"
+    save_checkpoint(small_model(seed=3), None, path)
+    blob = bytearray(path.read_bytes())
+    at = blob.index(name) + len(name) + 12 + 4 * 8  # past the FTEN header of a rank-4 entry
+    struct.pack_into("<d", blob, at, value)
+    path.write_bytes(bytes(blob))
+    tracemalloc.start()
+    try:
+        with pytest.raises(CorruptCheckpoint, match="do not match the stored encoder"):
+            load_checkpoint(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2 ** 20
+
+
 # ---------------------------------------------------------------------------
 # finite-difference parameter check
 
@@ -413,13 +435,12 @@ def test_gradient_check_passes_f64():
     assert max(err for _, err in results) < 1e-5
 
 
-def test_gradient_check_detects_corruption():
+def test_gradient_check_detects_corruption(sigmoid_doubled_grad):
     model = small_model(seed=5, dtype="f64")
     pair = D.synth_phantom(60, 16)
     x = T.Tensor(pair.image.data.astype(np.float64))
     y = T.Tensor(pair.mask.data.astype(np.float64))
     name = next(n for n, _ in model.named_params())
-    results = gradient_check(model, x, y, LossConfig(), n_samples=3, seed=0,
-                             corrupt=name)
+    results = gradient_check(model, x, y, LossConfig(), n_samples=3, seed=0)
     worst = dict(results)[name]
     assert worst > 1e-3
