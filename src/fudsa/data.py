@@ -237,6 +237,9 @@ def load_pairs(root, ids):
         msk = read_mask(root / "masks" / f"{ident}.pgm")
         if img.shape != msk.shape:
             raise ShapeMismatch(f"{ident}: image {img.shape} vs mask {msk.shape}")
+        if pairs and img.shape != pairs[0].image.shape[2:]:  # batches stack a split's images
+            raise ShapeMismatch(f"{ident}: image {img.shape} vs {pairs[0].identifier}'s "
+                                f"{pairs[0].image.shape[2:]}; a split holds one extent")
         pairs.append(SamplePair(T.from_array(img), T.from_array(msk), ident))
     return pairs
 

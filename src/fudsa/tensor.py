@@ -315,40 +315,143 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor | None = None,
     if bias is not None and bias.shape != (1, cout, 1, 1):
         raise ShapeMismatch(f"bias must be (1,{cout},1,1), got {bias.shape}")
 
-    # Lowered as in cuDNN: one (Cout, K) x (K, N*Hout*Wout) GEMM for the
-    # whole batch, K = Cin*kH*kW.  The lowered matrix is 9x the input for a
-    # 3x3 kernel, so backward rebuilds it from x instead of keeping it alive.
-    geom = (kh, kw, s, d, p, hout, wout)
-    w2 = kernel.data.reshape(cout, -1)
-    out = (w2 @ _im2col(x.data, *geom)).reshape(cout, n, hout, wout).transpose(1, 0, 2, 3)
+    # Shifted slices over one zero-padded, channel-major frame (Cin, N*Hp*Wp +
+    # span): kernel tap t reads it at flat offset o_t, and reads a gradient
+    # frame that is preceded by span zeros at span - o_t.  Taps that read
+    # only padding are dropped (see _conv_axis), and the frame keeps only the
+    # padding that the other taps read.
+    (ti, hp, bh, xh), (tj, wp, bw, xw) = (
+        _conv_axis(h, hout, kh, s, d, p), _conv_axis(w, wout, kw, s, d, p))
+    live = kernel.data[:, :, ti, tj]
+    k3 = live.reshape(cout, cin, -1)
+    offs = [(bh + i * d) * wp + bw + j * d
+            for i in range(live.shape[2]) for j in range(live.shape[3])]
+    span, frame, taps = offs[-1], (n, hp, wp), len(offs)
+    # A window covers the whole frame and the result is cropped to the points
+    # wanted: every s-th one for outputs, where x sits for inputs.  Where the
+    # frame is over 1.25x the output (padded 3x3 convs on maps of 16 px and
+    # below) the windows are cropped instead.  Windows that tile x (1x1
+    # convs, the 2x2/2 match chains) are a space-to-depth copy, whose adjoint
+    # is a copy back.
+    every = np.s_[:, :, :, :]
+    outs = np.s_[:, :, :(hout - 1) * s + 1:s, :(wout - 1) * s + 1:s]
+    ins = np.s_[:, :, xh:xh + h, xw:xw + w]
+    flat = hp * wp <= 1.25 * hout * wout
+    (win_o, crop_o), (win_i, crop_i) = (
+        ((every, outs), (every, ins)) if flat else ((outs, every), (ins, every)))
+    tiles = kh == kw == s and d == 1 and p == 0
+
+    def blocks():
+        a = x.data[:, :, :hout * s, :wout * s].reshape(n, cin, hout, s, wout, s)
+        return a.transpose(1, 3, 5, 0, 2, 4).reshape(cin, s * s, n, hout, wout)
+
+    def framed():
+        xp = np.zeros((cin, n * hp * wp + span), dtype=x.dtype)
+        _window(xp, 0, frame, ins)[...] = x.data.transpose(1, 0, 2, 3)
+        return xp
+
+    # The slices move the side with fewer channels.
+    if flat and cin > cout and not tiles:
+        y = k3.transpose(2, 0, 1).reshape(-1, cin) @ framed()
+        out = _shift_sum(y.reshape(taps, cout, -1), offs, frame, win_o)
+    else:
+        cols = blocks() if tiles else _gather(framed(), offs, frame, win_o)
+        out = k3.reshape(cout, -1) @ cols.reshape(cin * taps, -1)
+        out = out.reshape(cout, *cols.shape[2:])
+    out = np.ascontiguousarray(out[crop_o]).transpose(1, 0, 2, 3)
     if bias is not None:
         out += bias.data
 
     def bwd(g):
-        # out.grad is usually channel-major already, which made the unscaled
-        # g2 a view.  Building the lowering before the rescaled copy, and
-        # dropping the copy before the scatter, keeps peak memory where it was.
-        cols = _im2col(x.data, *geom) if kernel._track else None
-        g2, unscale = _scaled(g.transpose(1, 0, 2, 3))
-        g2 = g2.reshape(cout, -1)
+        if tiles:
+            gp, unscale = _scaled(g.transpose(1, 0, 2, 3))
+            gp = gp.reshape(cout, -1)
+        else:
+            gp = np.zeros((cout, span + n * hp * wp), dtype=g.dtype)
+            unscale = _scaled(g.transpose(1, 0, 2, 3), out=_window(gp, span, frame, outs))[1]
         if bias is not None:
-            _accum(bias, g2.sum(axis=1).reshape(1, cout, 1, 1) * unscale)
-        if kernel._track:
-            # (K, P) @ (P, Cout) measured about twice as fast as (Cout, P) @ (P, K)
-            _accum(kernel, (cols @ g2.T).T.reshape(kernel.shape) * unscale)
+            _accum(bias, gp.sum(axis=1).reshape(1, cout, 1, 1) * unscale)
+        gk = gx = None
+        if tiles or flat and cout > cin:
+            # Gather x for the weight gradient; shifted adds, or for tiles a
+            # copy back, for the input gradient.
+            gw = gp if tiles else _window(gp, span, frame, win_o).reshape(cout, -1)
+            if kernel._track:
+                cols = blocks() if tiles else _gather(framed(), offs, frame, win_o)
+                # (K, P) @ (P, Cout) measured about twice as fast as (Cout, P) @ (P, K)
+                gk = (cols.reshape(cin * taps, -1) @ gw.T).T
+                del cols
+            if x._track and tiles:
+                z = (k3.reshape(cout, -1).T @ gw).reshape(cin, s, s, n, hout, wout)
+                gx = np.zeros((cin, n, h, w), dtype=z.dtype)
+                for i, j in np.ndindex(s, s):
+                    gx[:, :, i:hout * s:s, j:wout * s:s] = z[:, i, j]
+            elif x._track:
+                z = k3.transpose(2, 1, 0).reshape(-1, cout) @ gp
+                del gp, gw
+                gx = _shift_sum(z.reshape(taps, cin, -1), [span - o for o in offs], frame, win_i)
+                del z
+        else:
+            # One gather of the gradient frame feeds both GEMMs.
+            cols = _gather(gp, [span - o for o in offs], frame, win_i)
+            del gp
+            shape, cols = cols.shape[2:], cols.reshape(cout * taps, -1)
+            if kernel._track:
+                gk = cols @ _window(framed(), 0, frame, win_i).reshape(cin, -1).T
+                gk = gk.reshape(cout, taps, cin).transpose(0, 2, 1)
+            if x._track:
+                gx = (k3.transpose(1, 0, 2).reshape(cin, -1) @ cols).reshape(cin, *shape)
             del cols
-        if x._track:
-            gx = w2.T @ g2
-            del g2
-            gx = _col2im(gx, x.shape, *geom)
+        if gk is not None:
+            full = np.zeros(kernel.shape, dtype=gk.dtype)  # dropped taps get none
+            np.multiply(gk.reshape(live.shape), unscale, out=full[:, :, ti, tj])
+            _accum(kernel, full)
+        if gx is not None:
+            gx = gx[crop_i]
             gx *= unscale
-            _accum(x, gx)
+            _accum(x, gx.transpose(1, 0, 2, 3))
 
     return _op(out, bwd, x, kernel, bias)
 
 
-def _scaled(g):
-    """C-contiguous copy of g times 2**k, and 2**-k to undo it.
+def _conv_axis(n_in, n_out, k, s, d, p):
+    """One axis of a conv frame: (kept taps as a slice, frame extent, frame
+    index that the first kept tap reads for output 0, frame index of input 0).
+
+    Taps whose reads all fall in the padding before the input, or all after
+    it, are dropped; if every tap would be, tap 0 stays.  The frame spans the
+    input and what the kept taps read.
+    """
+    lo = max(0, -(((n_out - 1) * s - p) // d))
+    hi = min(k, (p + n_in - 1) // d + 1)
+    lo, hi = (lo, hi) if lo < hi else (0, 1)
+    org = lo * d - p  # input index that tap lo reads for output 0
+    end = max(org + (n_out - 1) * s + (hi - lo - 1) * d + 1, n_in)
+    return slice(lo, hi), end - min(org, 0), org - min(org, 0), -min(org, 0)
+
+
+def _window(buf, o, frame, win):
+    """A flat (C, M) frame buffer from offset o, as (C, N, Hp, Wp) indexed by win."""
+    n, hp, wp = frame
+    return buf[:, o:o + n * hp * wp].reshape(-1, n, hp, wp)[win]
+
+
+def _gather(buf, offsets, frame, win):
+    """(C, taps, N, rows, cols): a copy of the window at each offset."""
+    return np.stack([_window(buf, o, frame, win) for o in offsets], axis=1)
+
+
+def _shift_sum(y, offsets, frame, win):
+    """Sum over taps t of y[t]'s window at offsets[t]; y is (taps, C, M)."""
+    acc = _window(y[0], offsets[0], frame, win).copy()
+    for t in range(1, len(offsets)):
+        acc += _window(y[t], offsets[t], frame, win)
+    return acc
+
+
+def _scaled(g, out=None):
+    """g times 2**k, written to ``out`` (by default a new C-contiguous array),
+    and 2**-k to undo it.
 
     Deep-supervision gradients shrink into the subnormal range, where
     OpenBLAS GEMMs run about 30x slower.  k puts max|g| just below 2**64.
@@ -360,45 +463,10 @@ def _scaled(g):
     """
     top = max(float(g.max()), -float(g.min()))  # NaN if any NaN; no |g| temporary
     k = min(max(64 - math.frexp(top)[1], 0), 126) if 0 < top < math.inf else 0
-    gs = np.empty(g.shape, dtype=g.dtype)
-    np.multiply(g, 2.0 ** k, out=gs)  # copy and scale in one pass
-    return gs, 2.0 ** -k
-
-
-def _windows(kh, kw, s, d, hout, wout):
-    """(i, j, row slice, col slice) of every kernel tap into the padded input."""
-    for i in range(kh):
-        for j in range(kw):
-            yield (i, j, slice(i * d, i * d + (hout - 1) * s + 1, s),
-                   slice(j * d, j * d + (wout - 1) * s + 1, s))
-
-
-def _im2col(xd, kh, kw, s, d, p, hout, wout):
-    """(N, Cin, H, W) -> (Cin*kH*kW, N*Hout*Wout), rows ordered like the kernel."""
-    n, cin, h, w = xd.shape
-    xt = xd.transpose(1, 0, 2, 3)
-    if kh == kw == 1 and s == 1 and p == 0:
-        return xt.reshape(cin, -1)
-    if p:
-        xp = np.zeros((cin, n, h + 2 * p, w + 2 * p), dtype=xd.dtype)
-        xp[:, :, p: p + h, p: p + w] = xt
-        xt = xp
-    cols = np.empty((cin, kh, kw, n, hout, wout), dtype=xd.dtype)
-    for i, j, rows, cs in _windows(kh, kw, s, d, hout, wout):
-        cols[:, i, j] = xt[:, :, rows, cs]
-    return cols.reshape(cin * kh * kw, -1)
-
-
-def _col2im(gcols, shape, kh, kw, s, d, p, hout, wout):
-    """Adjoint of _im2col: scatter-add (Cin*kH*kW, N*Hout*Wout) onto (N, Cin, H, W)."""
-    n, cin, h, w = shape
-    if kh == kw == 1 and s == 1 and p == 0:
-        return gcols.reshape(cin, n, h, w).transpose(1, 0, 2, 3)
-    gcols = gcols.reshape(cin, kh, kw, n, hout, wout)
-    gxp = np.zeros((cin, n, h + 2 * p, w + 2 * p), dtype=gcols.dtype)
-    for i, j, rows, cs in _windows(kh, kw, s, d, hout, wout):
-        gxp[:, :, rows, cs] += gcols[:, i, j]
-    return gxp[:, :, p: p + h, p: p + w].transpose(1, 0, 2, 3)
+    if out is None:
+        out = np.empty(g.shape, dtype=g.dtype)
+    np.multiply(g, 2.0 ** k, out=out)  # copy and scale in one pass
+    return out, 2.0 ** -k
 
 
 def max_pool2(x: Tensor) -> Tensor:

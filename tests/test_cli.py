@@ -1,3 +1,6 @@
+import struct
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -239,6 +242,22 @@ def test_train_overlapping_split_sections_exit_2(tmp_path, data_dir, capsys):
     assert "under both train: and val:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_split_mixing_image_extents_exits_2(tmp_path, data_dir, capsys, command):
+    # batches stack a split's images, so one 16 px phantom among 32 px ones
+    # once escaped as a bare ValueError from np.concatenate
+    _, split = D.read_manifest(data_dir / "manifest.txt")
+    small, odd = D.synth_phantom(seed=7, size=16), split.train_ids[-1]
+    D.write_image01(data_dir / "images" / f"{odd}.pgm", small.image.data[0, 0])
+    D.write_mask(data_dir / "masks" / f"{odd}.pgm", small.mask.data[0, 0])
+    ckpt = tmp_path / "m.ckpt"
+    save_checkpoint(FudsaNet(NetworkConfig(levels=2, base_channels=2)), None, ckpt)
+    argv = (["train", "--out", str(tmp_path / "o"), "--max-epochs", "1"] if command == "train"
+            else ["eval", "--checkpoint", str(ckpt), "--split", "train"])
+    assert run(*argv, "--data", str(data_dir)) == 2
+    assert f"{odd}: image (16, 16) vs {split.train_ids[0]}'s (32, 32)" in capsys.readouterr().err
+
+
 def test_train_config_txt_reproduces_the_run(tmp_path, data_dir):
     cfg = tmp_path / "cfg.txt"
     cfg.write_text("levels=2\nbase_channels=4\nmax_epochs=2\nbatch_size=2\n")
@@ -365,6 +384,32 @@ def test_predict_malformed_pgm_exits_2(tmp_path, capsys):
     assert run("predict", "--checkpoint", str(ckpt), "--image", str(tmp_path / "bad.pgm"),
                "--out", str(tmp_path / "o.pgm")) == 2
     assert "not an integer" in capsys.readouterr().err
+
+
+def test_predict_cost_is_bounded_for_huge_dilations(tmp_path):
+    # a cfg/sdc_dilations entry edited from 4.0 to 1e6 once made predict pad a
+    # 16 px map to 2000016 px a side (58 TiB); taps that read only padding are
+    # dropped, so every dilation of 16 or more runs the same 1x1 conv
+    ckpt, image = tmp_path / "m.ckpt", tmp_path / "i.pgm"
+    save_checkpoint(FudsaNet(NetworkConfig(levels=2, base_channels=4), seed=1), None, ckpt)
+    D.write_image01(image, D.synth_phantom(seed=3, size=16).image.data[0, 0])
+    blob = bytearray(ckpt.read_bytes())
+    name = b"cfg/sdc_dilations"
+    at = blob.index(name) + len(name) + 12 + 4 * 8 + 2 * 8  # the third of (1, 2, 4)
+    assert struct.unpack_from("<d", blob, at) == (4.0,)
+    peaks = {}
+    for d in (4.0, 16.0, 1e6):
+        struct.pack_into("<d", blob, at, d)
+        ckpt.write_bytes(bytes(blob))
+        tracemalloc.start()
+        try:
+            assert run("predict", "--checkpoint", str(ckpt), "--image", str(image),
+                       "--out", str(tmp_path / f"{d}.pgm")) == 0
+            peaks[d] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[1e6] <= 2 * peaks[4.0]
+    assert (tmp_path / "1000000.0.pgm").read_bytes() == (tmp_path / "16.0.pgm").read_bytes()
 
 
 def test_predict_corrupt_checkpoint_exits_2(tmp_path, capsys):

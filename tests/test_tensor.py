@@ -179,6 +179,43 @@ def test_conv_matches_loop_oracle_grid(rng):
                         [x, kern, b], n=6)
 
 
+# n, cin, cout, h, w, k, stride, dilation, padding
+CONV_BRANCHES = {
+    "cin<cout flat 24px": (2, 3, 5, 24, 24, 3, 1, 1, 1),
+    "cin==cout flat 24px": (2, 4, 4, 24, 24, 3, 1, 1, 1),
+    "cin>cout flat 24px": (2, 5, 3, 24, 24, 3, 1, 1, 1),
+    "cin<cout windows 16px": (2, 3, 5, 16, 16, 3, 1, 1, 1),
+    "cin==cout windows 8px dilated": (2, 4, 4, 8, 8, 3, 1, 2, 2),
+    "cin>cout windows 8px": (2, 5, 3, 8, 8, 3, 1, 1, 1),
+    "n=1 cin<cout flat": (1, 3, 5, 24, 24, 3, 1, 1, 1),
+    "n=1 cin>cout flat": (1, 5, 3, 24, 24, 3, 1, 1, 1),
+    "n=1 cin>cout windows": (1, 5, 3, 4, 4, 3, 1, 1, 1),
+    "dead taps 4px d=4": (2, 3, 4, 4, 4, 3, 1, 4, 4),
+    "3px d=2 p=2": (2, 4, 3, 3, 3, 3, 1, 2, 2),
+    "dead first tap, stride 2": (2, 2, 3, 2, 2, 2, 2, 2, 1),
+    "dead taps along the width only": (2, 3, 2, 8, 3, 3, 1, 3, 3),
+    "no tap reads input": (2, 2, 3, 1, 1, 2, 1, 2, 1),
+    "cin>cout 1x1": (2, 5, 3, 5, 5, 1, 1, 1, 0),
+    "cin>cout 2x2 stride 2, odd extent": (2, 5, 3, 7, 6, 2, 2, 1, 0),
+}
+
+
+@pytest.mark.parametrize("geom", CONV_BRANCHES.values(), ids=CONV_BRANCHES.keys())
+def test_conv_branches_match_loop_oracle_and_finite_diff(rng, geom):
+    # each channel ratio, frame kind (whole frame cropped after, or cropped
+    # windows) and dropped-tap shape the lowering chooses between
+    n, cin, cout, h, w, k, s, d, p = geom
+    x = T.Tensor(rng.normal(size=(n, cin, h, w)), requires_grad=True)
+    kern = T.Tensor(rng.normal(size=(cout, cin, k, k)), requires_grad=True)
+    b = T.Tensor(rng.normal(size=(1, cout, 1, 1)), requires_grad=True)
+    out = T.conv2d(x, kern, b, stride=s, dilation=d, padding=p)
+    oracle = conv2d_loop(x.data, kern.data, b.data.reshape(-1), s, d, p)
+    assert out.shape == oracle.shape and np.allclose(out.data, oracle, atol=1e-10)
+    up = T.Tensor(rng.normal(size=oracle.shape))
+    check_grads(lambda: T.tsum(T.mul(T.conv2d(x, kern, b, stride=s, dilation=d, padding=p), up)),
+                [x, kern, b])
+
+
 def test_conv_gradients_finite_diff(rng):
     x = T.Tensor(rng.normal(size=(2, 3, 8, 8)), requires_grad=True)
     k = T.Tensor(rng.normal(size=(4, 3, 3, 3)) * 0.2, requires_grad=True)
@@ -404,14 +441,18 @@ def _op_grads(op, inputs, g):
     return [t.grad for t in inputs]
 
 
-def _conv_grads_unscaled(x, k, g, s, d, p):
-    """The conv2d backward formula applied to g as it is: (gx, gk, gbias)."""
-    cout, _, kh, kw = k.shape
-    geom = (kh, kw, s, d, p) + g.shape[2:]
-    g2 = g.transpose(1, 0, 2, 3).reshape(cout, -1)
-    gk = (T._im2col(x, *geom) @ g2.T).T.reshape(k.shape)
-    gx = T._col2im(k.reshape(cout, -1).T @ g2, x.shape, *geom)
-    return gx, gk, g2.sum(axis=1).reshape(1, cout, 1, 1)
+def _conv_grads_unscaled(inputs, g, s, d, p):
+    """conv2d's gradients of ``inputs`` (x, kernel[, bias]) for output gradient
+    g, with the backward's rescaling of g by 2**k pinned to k = 0."""
+    def unscaled(g, out=None):
+        out = np.empty(g.shape, dtype=g.dtype) if out is None else out
+        out[...] = g
+        return out, 1.0
+
+    x, k, b = (inputs + [None])[:3]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(T, "_scaled", unscaled)
+        return _op_grads(lambda: T.conv2d(x, k, b, stride=s, dilation=d, padding=p), inputs, g)
 
 
 def _conv_case(rng, dtype, k, s, d, p, bias, x_scale=1.0, g_scale=1.0):
@@ -430,7 +471,7 @@ def test_conv_rescaled_backward_is_bit_identical(rng, dtype, k, s, d, p, bias):
     # normal-range f32 and any f64: scaling by 2**k and back is exact
     inputs, op, g = _conv_case(rng, dtype, k, s, d, p, bias)
     got = _op_grads(op, inputs, g)
-    want = _conv_grads_unscaled(inputs[0].data, inputs[1].data, g, s, d, p)
+    want = _conv_grads_unscaled(inputs, g, s, d, p)
     for a, b in zip(got, want):
         assert a.dtype == dtype and np.array_equal(a, b)
 
@@ -487,8 +528,8 @@ def test_rescaled_conv_backward_finite_for_huge_inputs(rng):
     # the f32 overflow at 2**128
     inputs, op, g = _conv_case(rng, np.float32, 3, 1, 1, 1, True, x_scale=1e12, g_scale=1e-3)
     got = _op_grads(op, inputs, g)
-    want = _conv_grads_unscaled(*(t.data.astype(np.float64) for t in inputs[:2]),
-                                g.astype(np.float64), 1, 1, 1)
+    want = _conv_grads_unscaled([T.Tensor(t.data.astype(np.float64), requires_grad=True)
+                                 for t in inputs], g.astype(np.float64), 1, 1, 1)
     for a, b in zip(got, want):
         assert np.isfinite(a).all()
         assert np.abs(a - b).max() <= 1e-5 * np.abs(b).max()
