@@ -41,7 +41,6 @@ class AttentionGate(Module):
         if len(channels) != level:
             raise ShapeMismatch(f"need {level} channel counts, got {len(channels)}")
         self.level = level
-        self.channels = list(channels)
         self.upsample_mode = upsample_mode
         self.spatial_only = spatial_only
         self.include_sl_in_channel = include_sl_in_channel
@@ -56,20 +55,12 @@ class AttentionGate(Module):
         self.spatial_conv3 = Conv2d(c, c, 3, rng, padding=1, dtype=dtype)
         self.spatial_conv1 = Conv2d(c, 1, 1, rng, dtype=dtype)
 
-    def reduce_decoder(self, g_next):
-        if g_next.shape[1] % 2:
-            raise ShapeMismatch(f"decoder volume must have even channels, got {g_next.shape[1]}")
-        if g_next.shape[1] != 2 * self.channels[-1]:
-            raise ShapeMismatch(
-                f"decoder volume has {g_next.shape[1]} channels, expected {2 * self.channels[-1]}")
-        return self.reduce(g_next)
-
     def __call__(self, encoder_maps, decoder_map) -> AttentionResult:
         if len(encoder_maps) != self.level:
             raise ShapeMismatch(
                 f"level {self.level} gate needs {self.level} encoder maps, got {len(encoder_maps)}")
         e_l = encoder_maps[-1]
-        d_next = self.reduce_decoder(decoder_map)
+        d_next = self.reduce(decoder_map)
         s_maps = [chain(e) for chain, e in zip(self.match_chains, encoder_maps)]
         sums = [d_next]  # running sum: D, D + S^1, ..., D + S^1 + ... + S^l
         for s in s_maps:

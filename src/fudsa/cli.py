@@ -89,8 +89,6 @@ def _build_configs(values):
 # subcommands
 
 def cmd_synth(args):
-    if args.size < 1:
-        raise InvalidArgument(f"--size must be >= 1, got {args.size}")
     out = Path(args.out)
     (out / "images").mkdir(parents=True, exist_ok=True)
     (out / "masks").mkdir(parents=True, exist_ok=True)
@@ -98,7 +96,7 @@ def cmd_synth(args):
     for i in range(args.count):
         hu, mask, _ = D.synth_phantom_fields(args.seed + i, args.size)
         ident = f"phantom{args.seed + i:06d}"
-        D.write_raw_slice(out / "images" / f"{ident}.pgm", D.RawSlice(hu, ident))
+        D.write_raw_slice(out / "images" / f"{ident}.pgm", hu)
         D.write_mask(out / "masks" / f"{ident}.pgm", mask)
         ids.append(ident)
     D.write_manifest(out / "manifest.txt", ids)
@@ -107,14 +105,12 @@ def cmd_synth(args):
 
 
 def cmd_preprocess(args):
-    if args.size < 1:
-        raise InvalidArgument(f"--size must be >= 1, got {args.size}")
     src, out = Path(args.indir), Path(args.out)
     ids, _ = D.read_manifest(src / "manifest.txt")
     pairs = []
     for ident in ids:
-        raw = D.read_raw_slice(src / "images" / f"{ident}.pgm", ident)
-        img = D.window_and_normalize(raw, args.lo_hu, args.hi_hu)
+        hu = D.read_raw_slice(src / "images" / f"{ident}.pgm")
+        img = D.window_and_normalize(hu, args.lo_hu, args.hi_hu)
         mask = T.from_array(D.read_mask(src / "masks" / f"{ident}.pgm"))
         pairs.append(D.resize_pair(D.SamplePair(img, mask, ident), args.size))
     pairs = D.filter_lesion_slices(pairs)
@@ -231,6 +227,16 @@ def cmd_gradcheck(args):
 
 # ---------------------------------------------------------------------------
 
+def _at_least(lo):
+    """argparse type: an integer >= lo; a smaller one raises InvalidArgument."""
+    def parse(raw):
+        if int(raw) < lo:
+            raise InvalidArgument(f"expected an integer >= {lo}, got {raw}")
+        return int(raw)
+    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    return parse
+
+
 def build_parser():
     ap = argparse.ArgumentParser(
         prog="fudsa",
@@ -241,9 +247,9 @@ def build_parser():
 
     p = sub.add_parser("synth", help="generate a synthetic phantom dataset")
     p.add_argument("--out", required=True)
-    p.add_argument("--count", type=int, default=16)
-    p.add_argument("--size", type=int, default=64)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--count", type=_at_least(0), default=16)
+    p.add_argument("--size", type=_at_least(1), default=64)
+    p.add_argument("--seed", type=_at_least(0), default=0)
     p.set_defaults(fn=cmd_synth)
 
     p = sub.add_parser("preprocess", help="window, normalize, resize, filter and split")
@@ -251,8 +257,8 @@ def build_parser():
     p.add_argument("--out", required=True)
     p.add_argument("--lo-hu", type=float, default=D.DEFAULT_LO_HU)
     p.add_argument("--hi-hu", type=float, default=D.DEFAULT_HI_HU)
-    p.add_argument("--size", type=int, default=64)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--size", type=_at_least(1), default=64)
+    p.add_argument("--seed", type=_at_least(0), default=0)
     p.set_defaults(fn=cmd_preprocess)
 
     p = sub.add_parser("train", help="train on a preprocessed dataset")
@@ -284,23 +290,23 @@ def build_parser():
     p = sub.add_parser("gradcheck", help="finite-difference gradient suite")
     p.add_argument("--levels", type=int, default=3)
     p.add_argument("--channels", type=int, default=4)
-    p.add_argument("--size", type=int, default=32)
+    p.add_argument("--size", type=_at_least(1), default=32)
     p.add_argument("--precision", choices=("f32", "f64"), default="f64")
-    p.add_argument("--samples", type=int, default=20)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--samples", type=_at_least(1), default=20)
+    p.add_argument("--seed", type=_at_least(0), default=0)
     p.set_defaults(fn=cmd_gradcheck)
 
     return ap
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.fn(args)
     except NumericalDivergence as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (FudsaError, FileNotFoundError, PermissionError) as exc:
+    except (FudsaError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

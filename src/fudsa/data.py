@@ -25,12 +25,6 @@ DEFAULT_HI_HU = 170.0
 
 
 @dataclass
-class RawSlice:
-    pixels: np.ndarray  # int16, (H, W), Hounsfield units
-    identifier: str
-
-
-@dataclass
 class SamplePair:
     image: T.Tensor   # (1,1,H,W) in [0,1]
     mask: T.Tensor    # (1,1,H,W) in {0,1}
@@ -98,15 +92,16 @@ def read_pgm(path):
         np.uint16 if maxval > 255 else np.uint8), maxval
 
 
-def write_raw_slice(path, raw: RawSlice):
-    write_pgm(path, raw.pixels.astype(np.int32) + HU_OFFSET, 65535)
+def write_raw_slice(path, hu):
+    write_pgm(path, hu.astype(np.int32) + HU_OFFSET, 65535)
 
 
-def read_raw_slice(path, identifier) -> RawSlice:
+def read_raw_slice(path):
+    """A raw slice as an int16 (H, W) array of Hounsfield units."""
     a, maxval = read_pgm(path)
     if maxval != 65535:
         raise InvalidArgument(f"{path}: raw slices are 16-bit PGM")
-    return RawSlice((a.astype(np.int32) - HU_OFFSET).astype(np.int16), identifier)
+    return (a.astype(np.int32) - HU_OFFSET).astype(np.int16)
 
 
 def write_mask(path, mask):
@@ -137,11 +132,11 @@ def read_image01(path):
 # ---------------------------------------------------------------------------
 # preprocessing
 
-def window_and_normalize(raw: RawSlice, lo_hu=DEFAULT_LO_HU, hi_hu=DEFAULT_HI_HU) -> T.Tensor:
-    """Clip HU values to [lo, hi] and map linearly onto [0, 1]."""
+def window_and_normalize(hu, lo_hu=DEFAULT_LO_HU, hi_hu=DEFAULT_HI_HU) -> T.Tensor:
+    """Clip an array of HU values to [lo, hi] and map it linearly onto [0, 1]."""
     if lo_hu >= hi_hu:
         raise InvalidArgument(f"need lo_hu < hi_hu, got [{lo_hu}, {hi_hu}]")
-    v = np.clip(raw.pixels.astype(np.float32), lo_hu, hi_hu)
+    v = np.clip(hu.astype(np.float32), lo_hu, hi_hu)
     return T.from_array((v - lo_hu) / (hi_hu - lo_hu))
 
 
@@ -315,5 +310,5 @@ def synth_phantom_fields(seed, size, n_lesions_range=(1, 3), contrast_range=(0.1
 
 def synth_phantom(seed, size, n_lesions_range=(1, 3), contrast_range=(0.15, 0.45)) -> SamplePair:
     hu, mask, _ = synth_phantom_fields(seed, size, n_lesions_range, contrast_range)
-    img = window_and_normalize(RawSlice(hu, f"phantom{seed:06d}"))
+    img = window_and_normalize(hu)
     return SamplePair(img, T.from_array(mask), f"phantom{seed:06d}")

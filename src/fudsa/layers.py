@@ -82,15 +82,10 @@ class ConvBlock(Module):
 
     def __init__(self, in_ch, out_ch, rng, dtype=np.float32):
         super().__init__()
-        self.in_channels = in_ch
-        self.out_channels = out_ch
         self.conv1 = Conv2d(in_ch, out_ch, 3, rng, padding=1, dtype=dtype)
         self.conv2 = Conv2d(out_ch, out_ch, 3, rng, padding=1, dtype=dtype)
 
     def __call__(self, x):
-        if x.shape[1] != self.in_channels:
-            raise ShapeMismatch(
-                f"ConvBlock expects {self.in_channels} channels, got {x.shape[1]}")
         return T.relu(self.conv2(T.relu(self.conv1(x))))
 
 
@@ -129,15 +124,11 @@ class SdcBlock(Module):
 
     def __init__(self, channels, rng, dilations=(1, 2, 4), dtype=np.float32):
         super().__init__()
-        self.channels = channels
         self.convs = ModuleList(
             Conv2d(channels, channels, 3, rng, dilation=d, padding=d, dtype=dtype)
             for d in dilations)
 
     def __call__(self, x):
-        if x.shape[1] != self.channels:
-            raise ShapeMismatch(
-                f"SdcBlock expects {self.channels} channels, got {x.shape[1]}")
         for conv in self.convs:
             x = T.relu(conv(x))
         return x

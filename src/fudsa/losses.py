@@ -46,16 +46,16 @@ def tversky_index(p: T.Tensor, y: T.Tensor, alpha=0.7, beta=0.3, smooth=1e-6) ->
     """Soft Tversky index pooled over the whole batch; differentiable in p."""
     _check_pair(p, y)
     tp = T.tsum(T.mul(p, y))
-    fn = T.tsum(y) - tp
-    fp = T.tsum(p) - tp
-    num = tp + smooth
-    den = tp + alpha * fn + beta * fp + smooth
+    fn = T.sub(T.tsum(y), tp)
+    fp = T.sub(T.tsum(p), tp)
+    num = T.add_scalar(tp, smooth)
+    den = T.add_scalar(T.add(T.add(tp, T.scale(fn, alpha)), T.scale(fp, beta)), smooth)
     return T.div(num, den)
 
 
 def focal_tversky(p: T.Tensor, y: T.Tensor, cfg: LossConfig) -> T.Tensor:
     ti = tversky_index(p, y, cfg.alpha, cfg.beta, cfg.smooth)
-    return T.power(1.0 - ti, 1.0 / cfg.gamma)
+    return T.power(T.rsub_scalar(ti, 1.0), 1.0 / cfg.gamma)
 
 
 def supervised_loss(outputs, y: T.Tensor, cfg: LossConfig) -> T.Tensor:

@@ -138,9 +138,7 @@ class FudsaNet(Module):
 
     def forward(self, x: T.Tensor) -> ForwardOutputs:
         cfg = self.config
-        n, c, h, w = x.shape
-        if c != cfg.input_channels:
-            raise ShapeMismatch(f"expected {cfg.input_channels} input channels, got {c}")
+        h, w = x.shape[2:]
         div = 1 << cfg.levels
         if h % div or w % div:
             raise ShapeMismatch(

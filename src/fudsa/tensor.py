@@ -1,9 +1,10 @@
 """Dense rank-4 tensor engine with tape-based reverse-mode autodiff.
 
 Every value in the network is a ``Tensor`` of shape (N, C, H, W).  Ops are
-plain functions; when a ``Tape`` is active they append a backward closure to
-it.  ``backward(loss, tape)`` replays the tape in reverse and accumulates
-d(loss)/d(t) into ``t.grad`` for every tracked tensor.
+plain functions; when a ``Tape`` is active and an input requires a gradient,
+the output does too and the op appends a backward closure to the tape.
+``backward(loss, tape)`` replays the tape in reverse and accumulates
+d(loss)/d(t) into ``t.grad`` for every tensor that requires a gradient.
 
 Numerics are float32 by default; pass dtype=np.float64 for tight gradient
 checks.
@@ -57,9 +58,9 @@ def _active_tape():
 class Tensor:
     """Rank-4 array (N, C, H, W) with an optional gradient buffer."""
 
-    __slots__ = ("data", "requires_grad", "grad", "_track")
+    __slots__ = ("data", "requires_grad", "grad")
 
-    def __init__(self, data, requires_grad=False, _track=None):
+    def __init__(self, data, requires_grad=False):
         data = np.asarray(data)
         if data.ndim != 4:
             raise InvalidShape(f"tensors are rank-4, got shape {data.shape}")
@@ -68,7 +69,6 @@ class Tensor:
         self.data = data
         self.requires_grad = requires_grad
         self.grad = None
-        self._track = requires_grad if _track is None else _track
 
     @property
     def shape(self):
@@ -89,34 +89,9 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={self.shape}, dtype={self.dtype}, requires_grad={self.requires_grad})"
 
-    # Convenience operators used by the loss code.  Scalars promote to
-    # constants; tensor-tensor forms follow the ewise broadcast rules.
-    def __add__(self, other):
-        return add_scalar(self, other) if _isnum(other) else add(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return add_scalar(self, -other) if _isnum(other) else sub(self, other)
-
-    def __rsub__(self, other):
-        return rsub_scalar(self, other)
-
-    def __mul__(self, other):
-        return scale(self, other) if _isnum(other) else mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return scale(self, 1.0 / other) if _isnum(other) else div(self, other)
-
-
-def _isnum(x):
-    return isinstance(x, (int, float, np.floating, np.integer))
-
 
 def _accum(t: Tensor, g: np.ndarray):
-    if not t._track:
+    if not t.requires_grad:
         return
     if t.grad is None:
         # one pass instead of zero-filling and adding; 0 + g, so -0 becomes +0 as before
@@ -126,19 +101,19 @@ def _accum(t: Tensor, g: np.ndarray):
 
 
 def _op(data, bwd, *inputs):
-    """Wrap an op's output; if a tape is live and some input is tracked, the
-    output is tracked and ``(out, bwd)`` goes on the tape.  None inputs (an
-    absent bias) are skipped."""
+    """Wrap an op's output; if a tape is live and some input requires a
+    gradient, so does the output, and ``(out, bwd)`` goes on the tape.  None
+    inputs (an absent bias) are skipped."""
     tape = _active_tape()
-    out = Tensor(data, _track=tape is not None
-                 and any(t is not None and t._track for t in inputs))
-    if out._track:
+    out = Tensor(data, requires_grad=tape is not None
+                 and any(t is not None and t.requires_grad for t in inputs))
+    if out.requires_grad:
         tape.nodes.append((out, bwd))
     return out
 
 
 def backward(loss: Tensor, tape: Tape):
-    """Accumulate d(loss)/d(t) into .grad for every tracked tensor on the tape."""
+    """Accumulate d(loss)/d(t) into .grad for every tensor on the tape that requires it."""
     if loss.shape != (1, 1, 1, 1):
         raise InvalidArgument(f"backward needs a scalar (1,1,1,1) loss, got {loss.shape}")
     if loss.grad is None:
@@ -172,7 +147,7 @@ def constant(shape, value, dtype=np.float32, requires_grad=False):
 def uniform(shape, lo, hi, seed, dtype=np.float32, requires_grad=False):
     if not lo < hi:
         raise InvalidArgument(f"uniform needs lo < hi, got [{lo}, {hi})")
-    rng = np.random.default_rng(seed) if _isnum(seed) else seed
+    rng = np.random.default_rng(seed)
     data = rng.uniform(lo, hi, _check_shape(shape)).astype(dtype)
     return Tensor(data, requires_grad=requires_grad)
 
@@ -181,7 +156,7 @@ def he_normal(shape, fan_in, seed, dtype=np.float32, requires_grad=False):
     """Normal init with variance 2/fan_in (fan_in = Cin*kH*kW of the kernel)."""
     if fan_in < 1:
         raise InvalidArgument(f"fan_in must be >= 1, got {fan_in}")
-    rng = np.random.default_rng(seed) if _isnum(seed) else seed
+    rng = np.random.default_rng(seed)
     std = np.sqrt(2.0 / fan_in)
     data = (rng.standard_normal(_check_shape(shape)) * std).astype(dtype)
     return Tensor(data, requires_grad=requires_grad)
@@ -376,17 +351,17 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor | None = None,
             # Gather x for the weight gradient; shifted adds, or for tiles a
             # copy back, for the input gradient.
             gw = gp if tiles else _window(gp, span, frame, win_o).reshape(cout, -1)
-            if kernel._track:
+            if kernel.requires_grad:
                 cols = blocks() if tiles else _gather(framed(), offs, frame, win_o)
                 # (K, P) @ (P, Cout) measured about twice as fast as (Cout, P) @ (P, K)
                 gk = (cols.reshape(cin * taps, -1) @ gw.T).T
                 del cols
-            if x._track and tiles:
+            if x.requires_grad and tiles:
                 z = (k3.reshape(cout, -1).T @ gw).reshape(cin, s, s, n, hout, wout)
                 gx = np.zeros((cin, n, h, w), dtype=z.dtype)
                 for i, j in np.ndindex(s, s):
                     gx[:, :, i:hout * s:s, j:wout * s:s] = z[:, i, j]
-            elif x._track:
+            elif x.requires_grad:
                 z = k3.transpose(2, 1, 0).reshape(-1, cout) @ gp
                 del gp, gw
                 gx = _shift_sum(z.reshape(taps, cin, -1), [span - o for o in offs], frame, win_i)
@@ -396,10 +371,10 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor | None = None,
             cols = _gather(gp, [span - o for o in offs], frame, win_i)
             del gp
             shape, cols = cols.shape[2:], cols.reshape(cout * taps, -1)
-            if kernel._track:
+            if kernel.requires_grad:
                 gk = cols @ _window(framed(), 0, frame, win_i).reshape(cin, -1).T
                 gk = gk.reshape(cout, taps, cin).transpose(0, 2, 1)
-            if x._track:
+            if x.requires_grad:
                 gx = (k3.transpose(1, 0, 2).reshape(cin, -1) @ cols).reshape(cin, *shape)
             del cols
         if gk is not None:

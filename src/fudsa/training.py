@@ -33,10 +33,9 @@ class TrainConfig:
             raise InvalidArgument(f"learning_rate must be finite and > 0, got {self.learning_rate}")
         if not math.isfinite(self.min_delta):
             raise InvalidArgument(f"min_delta must be finite, got {self.min_delta}")
-        if self.patience < 1:
-            raise InvalidArgument(f"patience must be >= 1, got {self.patience}")
-        if self.batch_size < 1:
-            raise InvalidArgument(f"batch_size must be >= 1, got {self.batch_size}")
+        for name, lo in (("patience", 1), ("batch_size", 1), ("max_epochs", 1), ("seed", 0)):
+            if getattr(self, name) < lo:
+                raise InvalidArgument(f"{name} must be >= {lo}, got {getattr(self, name)}")
 
 
 class AdamState:

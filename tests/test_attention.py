@@ -30,21 +30,21 @@ def make_inputs(level=2, base=4, n=1, h=4, seed=1, dtype=np.float64):
 def test_reduce_decoder_shape_and_projection():
     gate, _ = make_gate(level=2, base=8)
     g = T.uniform((1, 32, 8, 8), -1, 1, seed=0, dtype=np.float64)
-    d = gate.reduce_decoder(g)
+    d = gate.reduce(g)
     assert d.shape == (1, 16, 8, 8)
     # kernel [I | 0] selects the first C channels
     gate.reduce.weight.data[...] = 0.0
     gate.reduce.bias.data[...] = 0.0
     for c in range(16):
         gate.reduce.weight.data[c, c, 0, 0] = 1.0
-    d = gate.reduce_decoder(g)
+    d = gate.reduce(g)
     assert np.array_equal(d.data, g.data[:, :16])
 
 
 def test_reduce_decoder_matches_1x1_loop_oracle():
     gate, _ = make_gate(level=1, base=3)
     g = T.uniform((2, 6, 4, 4), -1, 1, seed=3, dtype=np.float64)
-    d = gate.reduce_decoder(g).data
+    d = gate.reduce(g).data
     w = gate.reduce.weight.data
     b = gate.reduce.bias.data
     for n in range(2):
@@ -60,7 +60,7 @@ def test_reduce_decoder_matches_1x1_loop_oracle():
 def test_reduce_decoder_rejects_wrong_channels():
     gate, _ = make_gate(level=2, base=4)
     with pytest.raises(ShapeMismatch):
-        gate.reduce_decoder(T.zeros((1, 6, 4, 4)))
+        gate.reduce(T.zeros((1, 6, 4, 4)))
 
 
 def test_channel_gate_level1_uses_decoder_alone():

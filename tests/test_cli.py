@@ -448,6 +448,55 @@ def test_gradcheck_rejects_bad_size():
 
 
 # ---------------------------------------------------------------------------
+# bounded options and OS errors: exit 2, not a traceback
+
+@pytest.mark.parametrize("command, option, value, lo", [
+    ("synth", "--seed", "-3", 0),
+    ("preprocess", "--seed", "-3", 0),
+    ("gradcheck", "--seed", "-3", 0),
+    ("synth", "--count", "-2", 0),
+    ("gradcheck", "--size", "0", 1),
+    ("gradcheck", "--samples", "-1", 1),
+])
+def test_out_of_range_option_exits_2(tmp_path, raw_dir, capsys, command, option, value, lo):
+    paths = {"synth": ["--out", str(tmp_path / "s")],
+             "preprocess": ["--in", str(raw_dir), "--out", str(tmp_path / "p")],
+             "gradcheck": ["--levels", "2", "--channels", "2", "--size", "16"]}[command]
+    assert run(command, *paths, option, value) == 2
+    assert f"expected an integer >= {lo}, got {value}" in capsys.readouterr().err
+    assert not (tmp_path / "s").exists() and not (tmp_path / "p").exists()
+
+
+@pytest.mark.parametrize("option, config, field", [
+    (["--seed", "-7"], "", "seed"),
+    ([], "seed=-9\n", "seed"),
+    (["--max-epochs", "0"], "", "max_epochs"),
+])
+def test_train_out_of_range_seed_or_epochs_exits_2(tmp_path, data_dir, capsys, option, config,
+                                                   field):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("levels=2\nbase_channels=2\nmax_epochs=1\n" + config)
+    assert run("train", "--data", str(data_dir), "--config", str(cfg),
+               "--out", str(tmp_path / "o"), *option) == 2
+    assert f"{field} must be >= " in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_checkpoint_that_is_a_directory_exits_2(tmp_path, capsys):
+    D.write_image01(tmp_path / "x.pgm", np.zeros((16, 16)))
+    assert run("predict", "--checkpoint", str(tmp_path), "--image", str(tmp_path / "x.pgm"),
+               "--out", str(tmp_path / "o.pgm")) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_output_below_a_file_exits_2(tmp_path, capsys):
+    (tmp_path / "file").write_text("")
+    assert run("synth", "--out", str(tmp_path / "file" / "x"), "--count", "1",
+               "--size", "16") == 2
+    assert "error:" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
 # parser plumbing
 
 def test_help_lists_subcommands(capsys):

@@ -81,8 +81,8 @@ def loss_configs(draw):
 
 train_configs = st.builds(
     TrainConfig, learning_rate=positive, batch_size=st.integers(1, 64),
-    max_epochs=st.integers(0, 1000), patience=st.integers(1, 100), min_delta=finite,
-    seed=st.integers(-2**31, 2**31), loss=loss_configs())
+    max_epochs=st.integers(1, 1000), patience=st.integers(1, 100), min_delta=finite,
+    seed=st.integers(0, 2**31), loss=loss_configs())
 
 
 @given(network_configs, train_configs)

@@ -12,7 +12,7 @@ from fudsa.errors import InvalidArgument, InvalidLabel
 # HU windowing
 
 def test_window_endpoints():
-    raw = D.RawSlice(np.array([[-1000, 170], [-2000, 3000]], dtype=np.int16), "a")
+    raw = np.array([[-1000, 170], [-2000, 3000]], dtype=np.int16)
     v = D.window_and_normalize(raw).data[0, 0]
     assert v[0, 0] == 0.0
     assert v[0, 1] == 1.0
@@ -23,18 +23,18 @@ def test_window_endpoints():
 
 def test_window_midpoint():
     # midpoint of [-1000, 170] is -415 and must land exactly on 0.5
-    raw = D.RawSlice(np.array([[-415]], dtype=np.int16), "a")
+    raw = np.array([[-415]], dtype=np.int16)
     assert abs(D.window_and_normalize(raw).data[0, 0, 0, 0] - 0.5) < 1e-7
 
 
 def test_window_is_linear():
     hu = np.arange(-1000, 171, dtype=np.int16).reshape(1, -1)
-    v = D.window_and_normalize(D.RawSlice(hu, "a")).data[0, 0, 0]
+    v = D.window_and_normalize(hu).data[0, 0, 0]
     np.testing.assert_allclose(v, (hu[0] + 1000.0) / 1170.0, atol=1e-6)
 
 
 def test_window_rejects_inverted_bounds():
-    raw = D.RawSlice(np.zeros((2, 2), dtype=np.int16), "a")
+    raw = np.zeros((2, 2), dtype=np.int16)
     with pytest.raises(InvalidArgument):
         D.window_and_normalize(raw, lo_hu=170, hi_hu=-1000)
 
@@ -203,10 +203,10 @@ def test_pgm_rejects_malformed_header(tmp_path, blob):
 
 def test_raw_slice_roundtrip_preserves_negative_hu(tmp_path):
     hu = np.array([[-1000, 0], [170, -32768]], dtype=np.int16)
-    D.write_raw_slice(tmp_path / "r.pgm", D.RawSlice(hu, "r"))
-    got = D.read_raw_slice(tmp_path / "r.pgm", "r")
-    np.testing.assert_array_equal(got.pixels, hu)
-    assert got.identifier == "r"
+    D.write_raw_slice(tmp_path / "r.pgm", hu)
+    got = D.read_raw_slice(tmp_path / "r.pgm")
+    np.testing.assert_array_equal(got, hu)
+    assert got.dtype == np.int16
 
 
 def test_mask_roundtrip(tmp_path):

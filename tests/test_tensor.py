@@ -665,6 +665,17 @@ def test_backward_rejects_nonscalar():
             T.backward(out, tape)
 
 
+def test_op_output_requires_grad_only_on_a_live_tape(rng):
+    x = T.Tensor(rng.normal(size=(1, 2, 3, 3)), requires_grad=True)
+    const = T.Tensor(rng.normal(size=(1, 2, 3, 3)))
+    with T.Tape() as tape:
+        y = T.mul(x, const)
+        z = T.relu(const)
+    assert y.requires_grad and len(tape.nodes) == 1 and tape.nodes[0][0] is y
+    assert not z.requires_grad
+    assert not T.mul(x, const).requires_grad  # no tape is live
+
+
 def test_determinism_repeated_op(rng):
     x = T.Tensor(rng.normal(size=(2, 3, 8, 8)))
     k = T.Tensor(rng.normal(size=(4, 3, 3, 3)))

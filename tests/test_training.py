@@ -87,7 +87,7 @@ def test_train_config_validation():
     with pytest.raises(InvalidArgument):
         TrainConfig(batch_size=0)
     for bad in ({"learning_rate": float("nan")}, {"learning_rate": float("inf")},
-                {"min_delta": float("nan")}):
+                {"min_delta": float("nan")}, {"seed": -1}, {"max_epochs": 0}):
         with pytest.raises(InvalidArgument):
             TrainConfig(**bad)
 
