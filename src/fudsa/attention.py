@@ -6,9 +6,8 @@ with a per-channel gate and a per-pixel gate, both in (0,1).
 
 The channel branch sums the matched maps from levels 1..l-1 together with the
 reduced decoder volume (the level-l matched map is deliberately excluded);
-the spatial branch sums all of 1..l plus the reduced decoder volume.  The
-asymmetry is intentional and covered by tests; ``include_sl_in_channel``
-switches the channel branch to the symmetric form.
+the spatial branch sums all of 1..l plus the reduced decoder volume.  Both
+read one running sum, and the asymmetry is covered by tests.
 """
 
 from __future__ import annotations
@@ -35,15 +34,12 @@ class AttentionGate(Module):
     """Gate for level ``level`` with ``channels[i]`` channels at encoder level i+1."""
 
     def __init__(self, level, channels, rng, reduction=4, dilations=(1, 2, 4),
-                 upsample_mode="bilinear", spatial_only=False,
-                 include_sl_in_channel=False, dtype=np.float32):
+                 spatial_only=False, dtype=np.float32):
         super().__init__()
         if len(channels) != level:
             raise ShapeMismatch(f"need {level} channel counts, got {len(channels)}")
         self.level = level
-        self.upsample_mode = upsample_mode
         self.spatial_only = spatial_only
-        self.include_sl_in_channel = include_sl_in_channel
         c = channels[-1]
         # one match chain per encoder level i = 1..l; level i needs l-i+1 halvings
         self.match_chains = ModuleList(
@@ -72,13 +68,12 @@ class AttentionGate(Module):
             w_cha = T.constant((e_l.shape[0], e_l.shape[1], 1, 1), 1.0, dtype=e_l.dtype)
             e_tilde = e_l
         else:
-            # W_cha: SDC -> GAP -> MLP of the sum up to S^(l-1), or up to S^l
-            g_add = sums[-1] if self.include_sl_in_channel else sums[-2]
-            w_cha = self.mlp(T.global_avg_pool(self.sdc(g_add)))
+            # W_cha: SDC -> GAP -> MLP of the sum up to S^(l-1)
+            w_cha = self.mlp(T.global_avg_pool(self.sdc(sums[-2])))
             e_tilde = T.mul(e_l, w_cha)
 
         # Q: conv3x3 -> conv1x1 -> sigmoid -> 2x upsample of the full sum
         q = T.sigmoid(self.spatial_conv1(self.spatial_conv3(sums[-1])))
-        q = T.upsample(q, 2, mode=self.upsample_mode)
+        q = T.upsample(q, 2)
         e_hat = T.mul(e_tilde, q)
         return AttentionResult(e_hat, w_cha, q, d_next, s_maps)

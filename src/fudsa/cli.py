@@ -15,7 +15,6 @@ import argparse
 import sys
 from dataclasses import replace
 from pathlib import Path
-from types import UnionType
 from typing import get_args, get_origin
 
 import numpy as np
@@ -26,7 +25,7 @@ from . import tensor as T
 from .errors import FudsaError, InvalidArgument, NumericalDivergence
 from .losses import METRICS_CSV_HEADER, metrics_csv_row
 from .network import FudsaNet, NetworkConfig, VARIANTS
-from .training import (AdamState, TrainConfig, evaluate, gradient_check,
+from .training import (MASK_THRESHOLD, AdamState, TrainConfig, evaluate, gradient_check,
                        load_checkpoint, save_checkpoint, train)
 
 _KEY_TYPES = {**schema.leaf_types(NetworkConfig), **schema.leaf_types(TrainConfig)}
@@ -38,8 +37,6 @@ def _parse_value(kind, raw):
         if raw not in ("true", "false"):
             raise ValueError("expected true or false")
         return raw == "true"
-    if get_origin(kind) is UnionType:  # X | None; None is never written
-        kind = get_args(kind)[0]
     if get_origin(kind) is tuple:
         return tuple(_parse_value(get_args(kind)[0], p) for p in raw.split(",") if p)
     return kind(raw)
@@ -56,6 +53,12 @@ def parse_config_text(text):
             raise InvalidArgument(f"config line {lineno}: expected key=value, got {line!r}")
         key, _, raw = line.partition("=")
         key, raw = key.strip(), raw.strip()
+        if key in schema.RETIRED:  # skipped if it holds the value that remains
+            keep = schema.RETIRED[key][0]
+            if raw != keep:
+                raise InvalidArgument(f"config line {lineno}: {key} is a retired option"
+                                      + (f"; only {key}={keep} is accepted" if keep else ""))
+            continue
         if key not in _KEY_TYPES:
             raise InvalidArgument(f"config line {lineno}: unknown key {key!r}")
         if key in values:
@@ -76,9 +79,9 @@ def _render_value(value):
 
 
 def render_config(net: NetworkConfig, tr: TrainConfig):
-    """config.txt text: every leaf field in field order, None values omitted."""
+    """config.txt text: every leaf field in field order."""
     return "".join(f"{name}={_render_value(value)}\n" for cfg in (net, tr)
-                   for name, value in schema.leaf_items(cfg) if value is not None)
+                   for name, value in schema.leaf_items(cfg))
 
 
 def _build_configs(values):
@@ -151,6 +154,8 @@ def cmd_train(args):
     root = Path(args.data)
     split = _read_split(root)
     train_set, val_set = D.load_pairs(root, split.train_ids), D.load_pairs(root, split.val_ids)
+    for pair in train_set[:1] + val_set[:1]:  # before the model is allocated
+        net_cfg.check_extent(*pair.image.shape[2:])
     model = FudsaNet(net_cfg, seed=tr_cfg.seed + 2)
 
     out = Path(args.out)
@@ -189,7 +194,7 @@ def cmd_predict(args):
     img = D.read_image01(args.image)
     x = T.Tensor(img[np.newaxis, np.newaxis].astype(model.config.np_dtype))
     out = model(x)
-    mask = (out.final_map.data[0, 0] >= 0.5).astype(np.uint8)
+    mask = (out.final_map.data[0, 0] >= MASK_THRESHOLD).astype(np.uint8)
     D.write_pgm(args.out, mask * 255, 255)
     if args.dump_attention:
         dump = Path(args.dump_attention)
@@ -204,6 +209,7 @@ def cmd_predict(args):
 def cmd_gradcheck(args):
     cfg = NetworkConfig(levels=args.levels, base_channels=args.channels,
                         dtype=args.precision)
+    cfg.check_extent(args.size, args.size)
     model = FudsaNet(cfg, seed=args.seed + 2)
     pair = D.synth_phantom(args.seed, args.size)
     x = T.Tensor(pair.image.data.astype(cfg.np_dtype))

@@ -134,8 +134,8 @@ def read_image01(path):
 
 def window_and_normalize(hu, lo_hu=DEFAULT_LO_HU, hi_hu=DEFAULT_HI_HU) -> T.Tensor:
     """Clip an array of HU values to [lo, hi] and map it linearly onto [0, 1]."""
-    if lo_hu >= hi_hu:
-        raise InvalidArgument(f"need lo_hu < hi_hu, got [{lo_hu}, {hi_hu}]")
+    if not -np.inf < lo_hu < hi_hu < np.inf:  # false for NaN too
+        raise InvalidArgument(f"need finite lo_hu < hi_hu, got [{lo_hu}, {hi_hu}]")
     v = np.clip(hu.astype(np.float32), lo_hu, hi_hu)
     return T.from_array((v - lo_hu) / (hi_hu - lo_hu))
 

@@ -17,10 +17,9 @@ class LossConfig:
     beta: float = 0.3           # false-positive weight
     gamma: float = 4.0 / 3.0    # focal exponent, loss = (1 - TI)^(1/gamma)
     smooth: float = 1e-6
-    side_weights: tuple[float, ...] | None = None  # includes the final head; None = uniform
 
     def __post_init__(self):
-        values = (self.alpha, self.beta, self.gamma, self.smooth, *(self.side_weights or ()))
+        values = (self.alpha, self.beta, self.gamma, self.smooth)
         if not all(map(math.isfinite, values)):
             raise InvalidArgument(f"loss config values must be finite, got {values}")
         if abs(self.alpha + self.beta - 1.0) > 1e-9:
@@ -29,9 +28,6 @@ class LossConfig:
             raise InvalidArgument(f"gamma must be > 0, got {self.gamma}")
         if self.smooth <= 0:
             raise InvalidArgument(f"smooth must be > 0, got {self.smooth}")
-        if self.side_weights is not None:
-            if abs(sum(self.side_weights) - 1.0) > 1e-6:
-                raise InvalidArgument("side_weights must sum to 1")
 
 
 def _check_pair(p: T.Tensor, y: T.Tensor):
@@ -59,16 +55,11 @@ def focal_tversky(p: T.Tensor, y: T.Tensor, cfg: LossConfig) -> T.Tensor:
 
 
 def supervised_loss(outputs, y: T.Tensor, cfg: LossConfig) -> T.Tensor:
-    """Weighted focal Tversky over the final head and every side head."""
+    """Mean focal Tversky over the final head and every side head."""
     heads = outputs.heads() if hasattr(outputs, "heads") else list(outputs)
-    weights = cfg.side_weights
-    if weights is None:
-        weights = [1.0 / len(heads)] * len(heads)
-    if len(weights) != len(heads):
-        raise InvalidArgument(f"{len(weights)} weights for {len(heads)} heads")
     loss = None
-    for wgt, head in zip(weights, heads):
-        term = T.scale(focal_tversky(head, y, cfg), wgt)
+    for head in heads:
+        term = T.scale(focal_tversky(head, y, cfg), 1.0 / len(heads))
         loss = term if loss is None else T.add(loss, term)
     return loss
 

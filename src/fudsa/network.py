@@ -25,7 +25,6 @@ class VariantFlags:
     spatial_only: bool = False
     deep_supervision: bool = True
     decoder_residuals: bool = True
-    channel_branch_includes_sl: bool = False
 
 
 VARIANTS = {
@@ -43,7 +42,6 @@ class NetworkConfig:
     input_channels: int = 1
     reduction: int = 4
     sdc_dilations: tuple[int, ...] = (1, 2, 4)
-    upsample_mode: str = "bilinear"
     dtype: str = "f32"
     variant: VariantFlags = field(default_factory=VariantFlags)
 
@@ -55,10 +53,14 @@ class NetworkConfig:
         if self.reduction < 1 or any(d < 1 for d in self.sdc_dilations):
             raise InvalidArgument(f"reduction and sdc_dilations must be >= 1, got "
                                   f"{self.reduction} and {self.sdc_dilations}")
-        if self.upsample_mode not in ("bilinear", "nearest"):
-            raise InvalidArgument(f"unknown upsample mode {self.upsample_mode!r}")
         if self.dtype not in ("f32", "f64"):
             raise InvalidArgument(f"dtype must be f32 or f64, got {self.dtype!r}")
+
+    def check_extent(self, h, w):
+        """The encoder halves an input levels times: both extents need 2^levels as a factor."""
+        div = 1 << self.levels
+        if h % div or w % div:
+            raise ShapeMismatch(f"input extents {h}x{w} must be divisible by 2^{self.levels}")
 
     def channels_at(self, level):
         return self.base_channels * (1 << (level - 1))
@@ -87,14 +89,12 @@ class _DecoderLevel(Module):
     def __init__(self, cfg: NetworkConfig, level: int, rng, dtype):
         super().__init__()
         c = cfg.channels_at(level)
-        v = cfg.variant
         self.level = level
         self.up_conv = Conv2d(2 * c, c, 3, rng, padding=1, dtype=dtype)
         self.attention = AttentionGate(
             level, [cfg.channels_at(i) for i in range(1, level + 1)], rng,
             reduction=cfg.reduction, dilations=cfg.sdc_dilations,
-            upsample_mode=cfg.upsample_mode, spatial_only=v.spatial_only,
-            include_sl_in_channel=v.channel_branch_includes_sl, dtype=dtype)
+            spatial_only=cfg.variant.spatial_only, dtype=dtype)
         self.block = ConvBlock(2 * c, c, rng, dtype=dtype)
         # residual projections from every deeper decoder level m > level
         self.proj = ModuleList(
@@ -138,11 +138,7 @@ class FudsaNet(Module):
 
     def forward(self, x: T.Tensor) -> ForwardOutputs:
         cfg = self.config
-        h, w = x.shape[2:]
-        div = 1 << cfg.levels
-        if h % div or w % div:
-            raise ShapeMismatch(
-                f"input extents {h}x{w} must be divisible by 2^{cfg.levels}")
+        cfg.check_extent(*x.shape[2:])
 
         enc_maps = []
         cur = x
@@ -156,7 +152,7 @@ class FudsaNet(Module):
         attn: dict[int, object] = {}
         for level in range(cfg.levels, 0, -1):
             dl = self._decoder_at(level)
-            u = dl.up_conv(T.upsample(g_next, 2, mode=cfg.upsample_mode))
+            u = dl.up_conv(T.upsample(g_next, 2))
             res = dl.attention(enc_maps[:level], g_next)
             attn[level] = res
             g = dl.block(T.concat_channels([res.gated, u]))
@@ -164,8 +160,7 @@ class FudsaNet(Module):
                 # project G^m at its own resolution, then upsample c channels: 1x1 conv
                 # and resampling commute, so the wide map never exists at this size
                 for conv, m in zip(dl.proj, range(level + 1, cfg.levels + 1)):
-                    g = T.add(g, T.upsample(conv(dec_maps[m]), 1 << (m - level),
-                                            mode=cfg.upsample_mode))
+                    g = T.add(g, T.upsample(conv(dec_maps[m]), 1 << (m - level)))
             dec_maps[level] = g
             g_next = g
 
@@ -174,7 +169,7 @@ class FudsaNet(Module):
         if cfg.variant.deep_supervision:
             for head, level in zip(self.side_heads, range(2, cfg.levels + 1)):
                 p = T.sigmoid(head(dec_maps[level]))
-                sides.append(T.upsample(p, 1 << (level - 1), mode=cfg.upsample_mode))
+                sides.append(T.upsample(p, 1 << (level - 1)))
         return ForwardOutputs(final, sides, enc_maps, attn, dec_maps)
 
     __call__ = forward

@@ -4,13 +4,20 @@
 ``LossConfig``; flattening the nested configs in place gives each a flat
 list of leaf fields.  Those leaf names are the ``config.txt`` keys and the
 checkpoint's ``cfg/`` entries, and the dataclass defaults are the only
-defaults.
+defaults.  ``RETIRED`` lists the fields that are gone.
 """
 
 from __future__ import annotations
 
 from dataclasses import fields, is_dataclass
 from typing import get_type_hints
+
+
+# retired option -> the (config.txt value, FUD1 entry, FUD1 value) that remains, None if
+# never written: files written before the removal load; any other value is an error
+RETIRED = {"upsample_mode": ("bilinear", "cfg/upsample_bilinear", 1.0),
+           "channel_branch_includes_sl": ("false", "cfg/channel_branch_includes_sl", 0.0),
+           "side_weights": (None, None, None)}
 
 
 def leaf_types(cls) -> dict:

@@ -162,10 +162,8 @@ def he_normal(shape, fan_in, seed, dtype=np.float32, requires_grad=False):
     return Tensor(data, requires_grad=requires_grad)
 
 
-def from_array(a, dtype=None, requires_grad=False):
+def from_array(a, requires_grad=False):
     a = np.asarray(a)
-    if dtype is not None:
-        a = a.astype(dtype)
     while a.ndim < 4:
         a = a[np.newaxis]
     return Tensor(a, requires_grad=requires_grad)
@@ -485,18 +483,11 @@ def _interp_matrix(n_out: int, n_in: int, dtype):
     return m
 
 
-def upsample(x: Tensor, factor: int, mode: str = "bilinear") -> Tensor:
+def upsample(x: Tensor, factor: int) -> Tensor:
     if not (isinstance(factor, (int, np.integer)) and factor >= 2):
         raise InvalidArgument(f"upsample factor must be an integer >= 2, got {factor}")
-    if mode not in ("nearest", "bilinear"):
-        raise InvalidArgument(f"unknown upsample mode {mode!r}")
-    n, c, h, w = x.shape
+    _, _, h, w = x.shape
     f = int(factor)
-
-    if mode == "nearest":
-        return _op(x.data.repeat(f, axis=2).repeat(f, axis=3),
-                   lambda g: _accum(x, g.reshape(n, c, h, f, w, f).sum(axis=(3, 5))), x)
-
     mh = _interp_matrix(f * h, h, x.data.dtype)
     mw = _interp_matrix(f * w, w, x.data.dtype)
 
@@ -579,7 +570,7 @@ _DTYPES = {0: np.dtype("<f4"), 1: np.dtype("<f8")}
 
 
 def write_ften(path, array):
-    """Write an array (or Tensor) as a bit-exact FTEN record."""
+    """Write an array (or Tensor) as a bit-exact FTEN record to a path or a binary buffer."""
     a = array.data if isinstance(array, Tensor) else np.asarray(array)
     if a.dtype == np.float32:
         code = 0
@@ -598,12 +589,9 @@ def write_ften(path, array):
 
 
 def read_ften(path):
-    """Read an FTEN record into a numpy array."""
-    if hasattr(path, "read"):
-        blob = path.read()
-    else:
-        with open(path, "rb") as fh:
-            blob = fh.read()
+    """Read an FTEN record from a path into a numpy array."""
+    with open(path, "rb") as fh:
+        blob = fh.read()
     arr, used = _parse_ften(blob)
     if used != len(blob):
         raise InvalidArgument("trailing bytes after FTEN payload")

@@ -47,6 +47,7 @@ class AdamState:
 
 
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+MASK_THRESHOLD = 0.5  # a pixel is foreground where the final map is >= this
 
 
 def adam_step(named_params, state: AdamState, cfg: TrainConfig):
@@ -102,12 +103,11 @@ def _stack(pairs, dtype):
     return T.Tensor(x), T.Tensor(y)
 
 
-def evaluate(model: FudsaNet, dataset, threshold=0.5, loss_cfg: LossConfig | None = None,
-             chunk=8):
+def evaluate(model: FudsaNet, dataset, loss_cfg: LossConfig | None = None, chunk=8):
     """Pooled confusion counts over the whole set; no parameter mutation.
 
     The reported loss is the mean over images of the per-image supervised
-    focal Tversky loss (head weights per loss_cfg).
+    focal Tversky loss.
     """
     loss_cfg = loss_cfg or LossConfig()
     dtype = model.config.np_dtype
@@ -122,7 +122,7 @@ def evaluate(model: FudsaNet, dataset, threshold=0.5, loss_cfg: LossConfig | Non
             image_heads = [T.Tensor(h.data[i:i + 1]) for h in heads]
             losses.append(
                 supervised_loss(image_heads, T.Tensor(y.data[i:i + 1]), loss_cfg).item())
-        pred = (out.final_map.data >= threshold).astype(dtype)
+        pred = (out.final_map.data >= MASK_THRESHOLD).astype(dtype)
         c = confusion_counts(pred, y.data)
         tp, fp, fn, tn = tp + c[0], fp + c[1], fn + c[2], tn + c[3]
     return MetricsRecord.from_counts(tp, fp, fn, tn), float(np.mean(losses))
@@ -198,31 +198,29 @@ def train(model: FudsaNet, train_set, val_set, cfg: TrainConfig,
 _CKPT_MAGIC = b"FUD1"
 
 
-# string fields stored as 0/1 flags: field -> (entry name, value stored as 1, as 0)
-_FLAG_ENTRIES = {"upsample_mode": ("upsample_bilinear", "bilinear", "nearest"),
-                 "dtype": ("f64", "f64", "f32")}
-
-
 def _config_entries(cfg: NetworkConfig):
-    """cfg/ entries: the scalar leaf fields in field order, then the tuples."""
+    """cfg/ entries: the scalar leaf fields in field order (dtype as the flag f64), then tuples."""
     scalars, tuples = {}, {}
     for name, value in schema.leaf_items(cfg):
         if isinstance(value, tuple):
             tuples[f"cfg/{name}"] = np.array(value, dtype=np.float64).reshape(1, -1, 1, 1)
             continue
-        if name in _FLAG_ENTRIES:
-            name, one, _ = _FLAG_ENTRIES[name]
-            value = value == one
+        if name == "dtype":
+            name, value = "f64", value == "f64"
         scalars[f"cfg/{name}"] = np.full((1, 1, 1, 1), float(value), dtype=np.float64)
     return {**scalars, **tuples}
 
 
 def _config_from_entries(entries):
+    for option, (_, entry, keep) in schema.RETIRED.items():
+        held = entries[entry].reshape(-1)[0] if entry in entries else keep
+        if held != keep:
+            raise CorruptCheckpoint(f"{entry} holds {held}, but {option} is retired "
+                                    f"and only {keep} loads")
     values = {}
     for name, kind in schema.leaf_types(NetworkConfig).items():
-        if name in _FLAG_ENTRIES:
-            entry, one, zero = _FLAG_ENTRIES[name]
-            values[name] = one if entries[f"cfg/{entry}"].reshape(-1)[0] else zero
+        if name == "dtype":
+            values[name] = "f64" if entries["cfg/f64"].reshape(-1)[0] else "f32"
         elif get_origin(kind) is tuple:
             item = get_args(kind)[0]
             values[name] = tuple(_entry_value(item, v) for v in entries[f"cfg/{name}"].reshape(-1))
@@ -309,15 +307,14 @@ def load_checkpoint(path):
         return model, state
     except CorruptCheckpoint:
         raise
-    except (struct.error, KeyError, UnicodeDecodeError, InvalidArgument) as exc:
+    except (struct.error, KeyError, IndexError, UnicodeDecodeError, InvalidArgument) as exc:
         raise CorruptCheckpoint(f"{path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
 # finite-difference gradient check
 
-def gradient_check(model: FudsaNet, x: T.Tensor, y: T.Tensor,
-                   loss_cfg: LossConfig | None = None, n_samples=20, seed=0):
+def gradient_check(model: FudsaNet, x: T.Tensor, y: T.Tensor, n_samples=20, seed=0):
     """Compare analytic parameter gradients against central differences.
 
     Returns a list of (name, max_relative_error) using the error measure
@@ -328,7 +325,7 @@ def gradient_check(model: FudsaNet, x: T.Tensor, y: T.Tensor,
     many pre-activations exactly on the relu kink, where the two-sided
     difference quotient disagrees with any subgradient choice.
     """
-    loss_cfg = loss_cfg or LossConfig()
+    loss_cfg = LossConfig()
     f64 = model.config.dtype == "f64"
     h = 1e-6 if f64 else 1e-3
 

@@ -145,20 +145,10 @@ def test_summand_asymmetry_sl_affects_spatial_only():
         c.weight.data, c.bias.data = w, b
 
 
-def test_include_sl_flag_changes_channel_gate():
-    enc, dec = make_inputs(level=2, base=4, seed=11)
-    a, _ = make_gate(level=2, base=4, seed=12)
-    b, _ = make_gate(level=2, base=4, seed=12, include_sl_in_channel=True)
-    ra = a(enc, dec)
-    rb = b(enc, dec)
-    assert not np.array_equal(ra.channel_gate.data, rb.channel_gate.data)
-
-
-@pytest.mark.parametrize("include_sl", [False, True])
 @pytest.mark.parametrize("level", [1, 2, 3])
-def test_gate_sums_its_inputs_once(monkeypatch, level, include_sl):
+def test_gate_sums_its_inputs_once(monkeypatch, level):
     # one running sum D + S^1 + ... + S^l feeds both branches: l adds in all
-    gate, _ = make_gate(level=level, base=2, seed=17, include_sl_in_channel=include_sl)
+    gate, _ = make_gate(level=level, base=2, seed=17)
     enc, dec = make_inputs(level=level, base=2, seed=18)
     sums, real_add = [], T.add
 

@@ -4,6 +4,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from pathlib import Path
+
 from fudsa import cli, schema
 from fudsa import data as D
 from fudsa import tensor as T
@@ -92,8 +94,9 @@ def test_config_keys_are_the_leaf_fields():
     tr = dict(schema.leaf_items(TrainConfig()))
     assert not set(net) & set(tr)
     assert set(cli.parse_config_text(cli.render_config(NetworkConfig(), TrainConfig()))) \
-        == (set(net) | set(tr)) - {"side_weights"}
-    assert cli.parse_config_text("side_weights=0.5,0.5\n") == {"side_weights": (0.5, 0.5)}
+        == set(net) | set(tr)
+    assert len(set(net) | set(tr)) == 19
+    assert not set(schema.RETIRED) & (set(net) | set(tr))
 
 
 def test_build_configs_defaults_are_the_dataclass_defaults():
@@ -191,6 +194,16 @@ def test_preprocess_rejects_empty_validation_split(tmp_path, capsys):
     assert not (tmp_path / "p").exists()
 
 
+@pytest.mark.parametrize("option, value", [("--lo-hu", "nan"), ("--hi-hu", "inf"),
+                                           ("--lo-hu", "-inf")])
+def test_preprocess_non_finite_window_exits_2(raw_dir, tmp_path, capsys, option, value):
+    # a NaN bound once passed the lo < hi check and wrote all-zero images
+    assert run("preprocess", "--in", str(raw_dir), "--out", str(tmp_path / "p"),
+               "--size", "32", f"{option}={value}") == 2  # "-inf" alone reads as an option
+    assert "need finite lo_hu < hi_hu" in capsys.readouterr().err
+    assert not (tmp_path / "p").exists()
+
+
 def test_preprocess_missing_input_dir(tmp_path):
     assert run("preprocess", "--in", str(tmp_path / "nope"),
                "--out", str(tmp_path / "p")) == 2
@@ -269,6 +282,37 @@ def test_train_config_txt_reproduces_the_run(tmp_path, data_dir):
                "--out", str(again)) == 0
     assert (again / "report.csv").read_bytes() == (first / "report.csv").read_bytes()
     assert (again / "config.txt").read_bytes() == (first / "config.txt").read_bytes()
+
+
+def test_train_config_txt_written_before_retirement_reproduces(tmp_path, data_dir):
+    # it holds upsample_mode=bilinear and channel_branch_includes_sl=false
+    legacy = Path(__file__).parent / "legacy" / "config.txt"
+    out = tmp_path / "o"
+    assert run("train", "--data", str(data_dir), "--config", str(legacy), "--out", str(out)) == 0
+    assert cli.parse_config_text((out / "config.txt").read_text()) == \
+        cli.parse_config_text(legacy.read_text())
+
+
+@pytest.mark.parametrize("line", ["upsample_mode=nearest", "channel_branch_includes_sl=true",
+                                  "side_weights=0.5,0.5", "upsample_mode=bilinear,",
+                                  "side_weights="])
+def test_train_retired_option_with_another_value_exits_2(tmp_path, data_dir, capsys, line):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("levels=2\nbase_channels=1\nmax_epochs=1\n" + line + "\n")
+    assert run("train", "--data", str(data_dir), "--config", str(cfg),
+               "--out", str(tmp_path / "o")) == 2
+    assert f"{line.split('=')[0]} is a retired option" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_train_levels_beyond_the_image_extent_exits_2(tmp_path, data_dir, capsys):
+    # checked before the model is built: levels=40 once tried to allocate GiBs
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("levels=40\nmax_epochs=1\n")
+    assert run("train", "--data", str(data_dir), "--config", str(cfg),
+               "--out", str(tmp_path / "o")) == 2
+    assert "input extents 32x32 must be divisible by 2^40" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_train_non_finite_learning_rate_exits_2(tmp_path, data_dir, capsys):
@@ -425,6 +469,22 @@ def test_predict_corrupt_checkpoint_exits_2(tmp_path, capsys):
     assert "FTEN shape" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("entry, value", [("cfg/upsample_bilinear", 0.0),
+                                          ("cfg/channel_branch_includes_sl", 1.0),
+                                          ("cfg/upsample_bilinear", float("nan"))])
+def test_predict_retired_checkpoint_entry_with_another_value_exits_2(tmp_path, capsys,
+                                                                     entry, value):
+    blob = bytearray((Path(__file__).parent / "legacy" / "final.ckpt").read_bytes())
+    at = blob.index(entry.encode()) + len(entry) + 12 + 4 * 8  # past a rank-4 FTEN header
+    struct.pack_into("<d", blob, at, value)
+    ckpt = tmp_path / "m.ckpt"
+    ckpt.write_bytes(bytes(blob))
+    D.write_image01(tmp_path / "i.pgm", np.zeros((16, 16)))
+    assert run("predict", "--checkpoint", str(ckpt), "--image", str(tmp_path / "i.pgm"),
+               "--out", str(tmp_path / "o.pgm")) == 2
+    assert f"{entry} holds {value}" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # gradcheck
 
@@ -445,6 +505,12 @@ def test_gradcheck_corruption_detected(capsys, sigmoid_doubled_grad):
 
 def test_gradcheck_rejects_bad_size():
     assert run("gradcheck", "--levels", "3", "--size", "20") == 2
+
+
+def test_gradcheck_levels_beyond_size_exits_2(capsys):
+    # checked before the model is built: levels=40 once tried to allocate GiBs
+    assert run("gradcheck", "--levels", "40", "--size", "32") == 2
+    assert "input extents 32x32 must be divisible by 2^40" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,10 @@
 """One config schema: config.txt and the checkpoint's cfg/ entries follow the
-config dataclasses.  Golden digests pin the bytes written before the
-listings were derived from the dataclass fields."""
+config dataclasses.  Golden digests pin the bytes written; they last moved
+when the retired options' lines and entries were dropped, and nothing else
+changed.  Files written before that still load (tests/legacy/)."""
 
 import hashlib
+import struct
 import tempfile
 from pathlib import Path
 
@@ -10,10 +12,14 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from fudsa import cli
+from fudsa import data as D
+from fudsa import tensor as T
 from fudsa.losses import LossConfig
 from fudsa.network import FudsaNet, NetworkConfig, VARIANTS, VariantFlags
 from fudsa.training import (AdamState, TrainConfig, adam_step, load_checkpoint,
                             save_checkpoint)
+
+LEGACY = Path(__file__).parent / "legacy"
 
 
 def sha256(data):
@@ -24,23 +30,22 @@ F64_NET = NetworkConfig(levels=3, base_channels=4, dtype="f64", sdc_dilations=(1
                         variant=VARIANTS["I"])
 CUSTOM_TRAIN = TrainConfig(learning_rate=3e-4, batch_size=2, max_epochs=7, patience=2,
                            min_delta=0.0, seed=11,
-                           loss=LossConfig(alpha=0.6, beta=0.4, gamma=1.5, smooth=1e-5,
-                                           side_weights=(0.5, 0.25, 0.25)))
+                           loss=LossConfig(alpha=0.6, beta=0.4, gamma=1.5, smooth=1e-5))
 
 
 def test_render_config_golden_digests():
     assert sha256(cli.render_config(NetworkConfig(), TrainConfig()).encode()) == \
-        "879e63f49ed32838d67d7118a52ead7465c93de3deee233a05a97762ee29959c"
+        "65044c7c23d9fb72ac3bbb346ac97131a33b2713b5581dad53adffbcd12e1e68"
     assert sha256(cli.render_config(F64_NET, CUSTOM_TRAIN).encode()) == \
-        "71697be45deccb4e01b089aa35949614ae0e45784392dc656b24b06c3c595e05"
+        "d0d0b9901c707b19e133cd07e9234747d7d56f33df390a6f7afe6d1195fe6920"
 
 
 def test_checkpoint_golden_digests(tmp_path):
     path = tmp_path / "a.ckpt"
-    save_checkpoint(FudsaNet(NetworkConfig(levels=2, base_channels=4, upsample_mode="nearest",
-                                           variant=VARIANTS["II"]), seed=3), None, path)
+    save_checkpoint(FudsaNet(NetworkConfig(levels=2, base_channels=4, variant=VARIANTS["II"]),
+                             seed=3), None, path)
     assert sha256(path.read_bytes()) == \
-        "3ac59830a2a03934d171c4cae1772fc01e3bb9eab9588360ccf12c55f194a4d8"
+        "de44b86465154b4734d5998510556036681bfa7b0d6c124d3c4a928592153975"
 
     model = FudsaNet(F64_NET, seed=5)
     params = list(model.named_params())
@@ -50,7 +55,7 @@ def test_checkpoint_golden_digests(tmp_path):
     adam_step(params, state, TrainConfig(learning_rate=1e-3))
     save_checkpoint(model, state, path)
     assert sha256(path.read_bytes()) == \
-        "e60985ce457d88ab0d372a58739ee317f22c454f85b7a846fc437f8bf190fc62"
+        "e799cf3c4237e97c733b53921d18069b5ec42a67e11cce6f0be05010ad5cc93e"
 
 
 finite = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
@@ -63,20 +68,14 @@ network_configs = st.builds(
     input_channels=st.integers(1, 3),
     reduction=st.integers(1, 8),
     sdc_dilations=st.lists(st.integers(1, 4), min_size=1, max_size=3).map(tuple),
-    upsample_mode=st.sampled_from(["bilinear", "nearest"]),
     dtype=st.sampled_from(["f32", "f64"]),
-    variant=st.builds(VariantFlags, st.booleans(), st.booleans(), st.booleans(),
-                      st.booleans()))
+    variant=st.builds(VariantFlags, st.booleans(), st.booleans(), st.booleans()))
 
 
 @st.composite
 def loss_configs(draw):
     alpha = draw(st.floats(0.0, 1.0))
-    weights = draw(st.none() | st.lists(st.floats(0.01, 1.0), min_size=1, max_size=5))
-    if weights is not None:
-        weights = tuple(w / sum(weights) for w in weights)
-    return LossConfig(alpha=alpha, beta=1.0 - alpha, gamma=draw(positive),
-                      smooth=draw(positive), side_weights=weights)
+    return LossConfig(alpha=alpha, beta=1.0 - alpha, gamma=draw(positive), smooth=draw(positive))
 
 
 train_configs = st.builds(
@@ -98,3 +97,51 @@ def test_network_config_survives_save_load(net):
         save_checkpoint(FudsaNet(net, seed=None), None, path)
         loaded, state = load_checkpoint(path)
     assert loaded.config == net and state is None
+
+
+# ---------------------------------------------------------------------------
+# files written before upsample_mode, channel_branch_includes_sl and
+# side_weights were retired (tests/legacy/README.md says how they were made)
+
+def fud1_entries(blob):
+    """{name: array} of every entry of a FUD1 container, parsed without load_checkpoint."""
+    (count,) = struct.unpack_from("<I", blob, 4)
+    pos, entries = 8, {}
+    for _ in range(count):
+        (nlen,) = struct.unpack_from("<H", blob, pos)
+        name = blob[pos + 2:pos + 2 + nlen].decode()
+        entries[name], pos = T._parse_ften(blob, pos + 2 + nlen)
+    assert pos == len(blob)
+    return entries
+
+
+LEGACY_NET = NetworkConfig(levels=2, base_channels=1)
+
+
+def test_legacy_config_txt_loads():
+    old = (LEGACY / "config.txt").read_text()
+    assert "upsample_mode=bilinear\n" in old and "channel_branch_includes_sl=false\n" in old
+    net, tr = cli._build_configs(cli.parse_config_text(old))
+    assert (net, tr) == (LEGACY_NET, TrainConfig(batch_size=2, max_epochs=1))
+    assert cli.render_config(net, tr) == old.replace("upsample_mode=bilinear\n", "").replace(
+        "channel_branch_includes_sl=false\n", "")
+
+
+def test_legacy_checkpoint_loads_and_forwards_as_written(tmp_path):
+    model, state = load_checkpoint(LEGACY / "final.ckpt")
+    assert model.config == LEGACY_NET and state is None
+    x = D.synth_phantom(9, 16).image
+    # final_map.ften is the forward of the same image by the code that wrote the checkpoint
+    assert np.array_equal(model(x).final_map.data, T.read_ften(LEGACY / "final_map.ften"))
+
+    stored = fud1_entries((LEGACY / "final.ckpt").read_bytes())
+    fresh = FudsaNet(LEGACY_NET, seed=None)
+    for name, p in fresh.named_params():
+        p.data = stored[f"p/{name}"].copy()
+    assert np.array_equal(fresh(x).final_map.data, model(x).final_map.data)
+
+    save_checkpoint(model, None, tmp_path / "resaved.ckpt")
+    resaved = fud1_entries((tmp_path / "resaved.ckpt").read_bytes())
+    retired = {"cfg/upsample_bilinear", "cfg/channel_branch_includes_sl"}
+    assert set(stored) - set(resaved) == retired and len(resaved) == len(stored) - 2
+    assert all(np.array_equal(resaved[k], stored[k]) for k in resaved)

@@ -39,6 +39,13 @@ def test_window_rejects_inverted_bounds():
         D.window_and_normalize(raw, lo_hu=170, hi_hu=-1000)
 
 
+@pytest.mark.parametrize("lo, hi", [(np.nan, 170.0), (-1000.0, np.nan), (-np.inf, 170.0),
+                                    (-1000.0, np.inf), (np.nan, np.nan)])
+def test_window_rejects_non_finite_bounds(lo, hi):
+    with pytest.raises(InvalidArgument, match="finite"):
+        D.window_and_normalize(np.zeros((2, 2), dtype=np.int16), lo_hu=lo, hi_hu=hi)
+
+
 # ---------------------------------------------------------------------------
 # resizing
 

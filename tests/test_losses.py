@@ -99,10 +99,7 @@ def test_loss_config_validation():
         LossConfig(alpha=0.7, beta=0.4)
     with pytest.raises(InvalidArgument):
         LossConfig(gamma=0)
-    with pytest.raises(InvalidArgument):
-        LossConfig(side_weights=(0.5, 0.6))
-    for bad in ({"gamma": float("nan")}, {"smooth": float("nan")}, {"alpha": float("nan")},
-                {"side_weights": (0.5, float("nan"), 0.5)}):
+    for bad in ({"gamma": float("nan")}, {"smooth": float("nan")}, {"alpha": float("nan")}):
         with pytest.raises(InvalidArgument):
             LossConfig(**bad)
 
@@ -140,11 +137,6 @@ def test_supervised_loss_uniform_weighted_mean():
     parts = [focal_tversky(h, y, cfg).item() for h in heads]
     assert abs(agg - sum(parts) / 4) < 1e-12
 
-
-def test_supervised_loss_weight_count_mismatch(rng):
-    y = T.zeros((1, 1, 2, 2), dtype=np.float64)
-    with pytest.raises(InvalidArgument):
-        supervised_loss(FakeOutputs([y, y]), y, LossConfig(side_weights=(1.0,)))
 
 
 # ---------------------------------------------------------------------------

@@ -202,8 +202,6 @@ def test_config_validation():
         NetworkConfig(levels=1)
     with pytest.raises(InvalidArgument):
         NetworkConfig(base_channels=0)
-    with pytest.raises(InvalidArgument):
-        NetworkConfig(upsample_mode="cubic")
 
 
 def test_variant_table():
@@ -212,6 +210,5 @@ def test_variant_table():
     assert not VARIANTS["II"].deep_supervision
     assert not VARIANTS["III"].decoder_residuals
     full = VARIANTS["full"]
-    assert (full.spatial_only, full.deep_supervision,
-            full.decoder_residuals, full.channel_branch_includes_sl) == \
-        (False, True, True, False)
+    assert (full.spatial_only, full.deep_supervision, full.decoder_residuals) == \
+        (False, True, True)

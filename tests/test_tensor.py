@@ -362,23 +362,16 @@ def test_global_avg_pool_grad_uniform(rng):
 # ---------------------------------------------------------------------------
 # upsample
 
-def test_upsample_nearest_replication():
-    x = t64([[1, 2], [3, 4]])
-    out = T.upsample(x, 2, mode="nearest")
-    expected = [[1, 1, 2, 2], [1, 1, 2, 2], [3, 3, 4, 4], [3, 3, 4, 4]]
-    assert np.array_equal(out.data[0, 0], expected)
-
-
 def test_upsample_bilinear_constant():
     x = T.constant((1, 2, 3, 3), 7.5, dtype=np.float64)
-    out = T.upsample(x, 2, mode="bilinear")
+    out = T.upsample(x, 2)
     assert out.shape == (1, 2, 6, 6)
     assert np.allclose(out.data, 7.5)
 
 
 def test_upsample_bilinear_matches_pixel_oracle(rng):
     x = T.Tensor(rng.normal(size=(1, 1, 4, 4)), requires_grad=True)
-    out = T.upsample(x, 2, mode="bilinear")
+    out = T.upsample(x, 2)
     h = 4
     for oy in range(8):
         for ox in range(8):
@@ -393,19 +386,17 @@ def test_upsample_bilinear_matches_pixel_oracle(rng):
                  + ty * (1 - tx) * x.data[0, 0, y1c, x0c]
                  + ty * tx * x.data[0, 0, y1c, x1c])
             assert abs(out.data[0, 0, oy, ox] - v) < 1e-12
-    check_grads(lambda: T.tsum(T.mul(T.upsample(x, 2, mode="bilinear"),
-                                     T.upsample(x, 2, mode="bilinear"))), [x])
+    check_grads(lambda: T.tsum(T.mul(T.upsample(x, 2), T.upsample(x, 2))), [x])
 
 
-@pytest.mark.parametrize("mode", ["bilinear", "nearest"])
 @pytest.mark.parametrize("factor", [2, 4, 8])
-def test_upsample_commutes_with_1x1_conv(rng, mode, factor):
+def test_upsample_commutes_with_1x1_conv(rng, factor):
     # the decoder residuals project before upsampling on this identity
     x = T.Tensor(rng.normal(size=(2, 6, 3, 5)))
     k = T.Tensor(rng.normal(size=(4, 6, 1, 1)))
     b = T.Tensor(rng.normal(size=(1, 4, 1, 1)))
-    first = T.upsample(T.conv2d(x, k, b), factor, mode=mode)
-    second = T.conv2d(T.upsample(x, factor, mode=mode), k, b)
+    first = T.upsample(T.conv2d(x, k, b), factor)
+    second = T.conv2d(T.upsample(x, factor), k, b)
     assert first.shape == second.shape == (2, 4, 3 * factor, 5 * factor)
     assert np.max(np.abs(first.data - second.data)) <= 1e-12
 

@@ -1,5 +1,6 @@
 import struct
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +10,6 @@ from fudsa import tensor as T
 from fudsa import training
 from fudsa.errors import (CorruptCheckpoint, InvalidArgument, InvalidState,
                           NumericalDivergence)
-from fudsa.losses import LossConfig
 from fudsa.network import FudsaNet, NetworkConfig, VARIANTS
 from fudsa.training import (AdamState, TrainConfig, adam_step, evaluate,
                             gradient_check, load_checkpoint, save_checkpoint,
@@ -401,6 +401,20 @@ def test_checkpoint_rejects_non_integer_config_entry(tmp_path, value):
         load_checkpoint(path)
 
 
+@pytest.mark.parametrize("name", [b"cfg/levels", b"cfg/f64", b"cfg/upsample_bilinear"])
+def test_checkpoint_empty_config_entry_is_corrupt(tmp_path, name):
+    # a cfg/ entry with no elements once escaped load_checkpoint as a bare IndexError
+    path = tmp_path / "c.ckpt"
+    path.write_bytes((Path(__file__).parent / "legacy" / "final.ckpt").read_bytes())
+    blob = bytearray(path.read_bytes())
+    at = blob.index(name) + len(name)
+    struct.pack_into("<Q", blob, at + 12 + 8, 0)  # shape (1, 0, 1, 1)
+    del blob[at + 12 + 4 * 8:at + 12 + 4 * 8 + 8]  # and no payload
+    path.write_bytes(bytes(blob))
+    with pytest.raises(CorruptCheckpoint):
+        load_checkpoint(path)
+
+
 @pytest.mark.parametrize("name,value", [(b"cfg/levels", 131072.0), (b"cfg/levels", 3.0),
                                         (b"cfg/base_channels", 2.0 ** 20),
                                         (b"cfg/input_channels", 4096.0)])
@@ -430,7 +444,7 @@ def test_gradient_check_passes_f64():
     pair = D.synth_phantom(60, 16)
     x = T.Tensor(pair.image.data.astype(np.float64))
     y = T.Tensor(pair.mask.data.astype(np.float64))
-    results = gradient_check(model, x, y, LossConfig(), n_samples=3, seed=0)
+    results = gradient_check(model, x, y, n_samples=3, seed=0)
     assert results
     assert max(err for _, err in results) < 1e-5
 
@@ -441,6 +455,6 @@ def test_gradient_check_detects_corruption(sigmoid_doubled_grad):
     x = T.Tensor(pair.image.data.astype(np.float64))
     y = T.Tensor(pair.mask.data.astype(np.float64))
     name = next(n for n, _ in model.named_params())
-    results = gradient_check(model, x, y, LossConfig(), n_samples=3, seed=0)
+    results = gradient_check(model, x, y, n_samples=3, seed=0)
     worst = dict(results)[name]
     assert worst > 1e-3
