@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import functools
 import math
+import os
 import struct
 
 import numpy as np
@@ -26,7 +27,7 @@ __all__ = [
     "add", "sub", "mul", "div", "scale", "add_scalar", "rsub_scalar", "power",
     "conv2d", "max_pool2", "global_avg_pool", "upsample", "relu", "sigmoid",
     "dense", "concat_channels", "tsum",
-    "write_ften", "read_ften",
+    "write_ften", "read_ften", "read_ften_header", "read_ften_payload",
 ]
 
 _TAPE_STACK: list["Tape"] = []
@@ -443,21 +444,28 @@ def _scaled(g, out=None):
 
 
 def max_pool2(x: Tensor) -> Tensor:
-    """2x2 max pooling, stride 2; gradient goes to each window's first maximum."""
-    n, c, h, w = x.shape
+    """2x2 max pooling, stride 2; gradient goes to each window's first maximum
+    in row-major order, or to its first NaN, as argmax would pick."""
+    h, w = x.shape[2:]
     if h % 2 or w % 2:
         raise ShapeMismatch(f"max_pool2 needs even extents, got {h}x{w}")
-    win = x.data.reshape(n, c, h // 2, 2, w // 2, 2).transpose(0, 1, 2, 4, 3, 5)
-    win = win.reshape(n, c, h // 2, w // 2, 4)
-    idx = win.argmax(axis=-1)  # first occurrence, row-major within the window
+    q = [x.data[:, :, k // 2::2, k % 2::2] for k in range(4)]  # window corners, row-major
+    out = np.maximum(np.maximum(q[0], q[1]), np.maximum(q[2], q[3]))
 
     def bwd(g):
-        gwin = np.zeros((n, c, h // 2, w // 2, 4), dtype=g.dtype)
-        np.put_along_axis(gwin, idx[..., None], g[..., None], axis=-1)
-        gx = gwin.reshape(n, c, h // 2, w // 2, 2, 2).transpose(0, 1, 2, 4, 3, 5)
-        _accum(x, gx.reshape(n, c, h, w))
+        gx = np.empty(x.shape, dtype=g.dtype)  # the four corners cover it
+        free = np.ones(out.shape, dtype=bool)  # windows whose maximum is not yet taken
+        nan = np.isnan(out).any()
+        for k, qk in enumerate(q):
+            hit = qk == out
+            if nan:
+                hit |= np.isnan(qk)
+            hit &= free
+            gx[:, :, k // 2::2, k % 2::2] = np.where(hit, g, 0)
+            free ^= hit
+        _accum(x, gx)
 
-    return _op(np.take_along_axis(win, idx[..., None], axis=-1)[..., 0], bwd, x)
+    return _op(out, bwd, x)
 
 
 def global_avg_pool(x: Tensor) -> Tensor:
@@ -567,58 +575,76 @@ def concat_channels(xs) -> Tensor:
 
 _FTEN_MAGIC = b"FTEN"
 _DTYPES = {0: np.dtype("<f4"), 1: np.dtype("<f8")}
+_CODES = {dt: code for code, dt in _DTYPES.items()}
 
 
-def write_ften(path, array):
-    """Write an array (or Tensor) as a bit-exact FTEN record to a path or a binary buffer."""
+def write_ften(dest, array):
+    """Write an array (or Tensor) as a bit-exact FTEN record to a path or a binary file.
+
+    The payload is written from the array's own memory when it is contiguous
+    little-endian; a bad dtype raises before a path is opened.
+    """
+    a = _ften_array(array)
+    if not hasattr(dest, "write"):
+        with open(dest, "wb") as fh:
+            return write_ften(fh, a)
+    dest.write(_FTEN_MAGIC + struct.pack(f"<BBB5x{a.ndim}Q", 1, _CODES[a.dtype], a.ndim,
+                                         *a.shape))
+    dest.write(a.reshape(-1).view(np.uint8))
+
+
+def _ften_array(array):
+    """The array (or Tensor) as a contiguous little-endian f32/f64 array."""
     a = array.data if isinstance(array, Tensor) else np.asarray(array)
-    if a.dtype == np.float32:
-        code = 0
-    elif a.dtype == np.float64:
-        code = 1
-    else:
+    if a.dtype not in (np.float32, np.float64):
         raise InvalidArgument(f"FTEN stores f32/f64 only, got {a.dtype}")
-    blob = _FTEN_MAGIC + struct.pack("<BBB5x", 1, code, a.ndim)
-    blob += struct.pack(f"<{a.ndim}Q", *a.shape)
-    blob += np.ascontiguousarray(a, dtype=_DTYPES[code]).tobytes()
-    if hasattr(path, "write"):
-        path.write(blob)
-    else:
-        with open(path, "wb") as fh:
-            fh.write(blob)
+    return np.ascontiguousarray(a, dtype=a.dtype.newbyteorder("<"))
 
 
 def read_ften(path):
     """Read an FTEN record from a path into a numpy array."""
     with open(path, "rb") as fh:
-        blob = fh.read()
-    arr, used = _parse_ften(blob)
-    if used != len(blob):
-        raise InvalidArgument("trailing bytes after FTEN payload")
-    return arr.copy()
+        size = os.fstat(fh.fileno()).st_size
+        arr = read_ften_payload(fh, *read_ften_header(fh, size))
+        if fh.tell() != size:
+            raise InvalidArgument("trailing bytes after FTEN payload")
+    return arr
 
 
-def _parse_ften(blob, offset=0):
-    """Parse one FTEN record starting at offset; returns (array, end_offset).
+def read_ften_header(fh, size):
+    """Read the FTEN header at a binary file's position; returns (dtype, shape).
 
-    The array is a read-only view into ``blob``; callers copy what they keep.
+    Leaves ``fh`` at the payload, whose end is checked against ``size`` (the
+    file's length) before anything is allocated from the header.
     """
-    if blob[offset:offset + 4] != _FTEN_MAGIC:
-        raise InvalidArgument("bad FTEN magic")
-    version, code, rank = struct.unpack_from("<BBB", blob, offset + 4)
+    head = fh.read(12)
+    if head[:4] != _FTEN_MAGIC or len(head) < 12:
+        raise InvalidArgument("bad FTEN magic or truncated header")
+    version, code, rank = struct.unpack_from("<BBB", head, 4)
     if version != 1:
         raise InvalidArgument(f"unsupported FTEN version {version}")
     if code not in _DTYPES:
         raise InvalidArgument(f"unknown FTEN dtype code {code}")
-    pos = offset + 12
-    shape = struct.unpack_from(f"<{rank}Q", blob, pos)
-    pos += 8 * rank
+    if rank > 64:
+        raise InvalidArgument(f"unsupported FTEN shape: rank {rank}")
+    raw = fh.read(8 * rank)
+    if len(raw) < 8 * rank:
+        raise InvalidArgument("truncated FTEN header")
+    shape = struct.unpack(f"<{rank}Q", raw)
     dt = _DTYPES[code]
-    count = math.prod(shape)  # Python ints: huge extents cannot wrap around
-    end = pos + count * dt.itemsize
-    if end > len(blob):
+    # Python ints: huge extents cannot wrap around
+    if fh.tell() + math.prod(shape) * dt.itemsize > size:
         raise InvalidArgument("truncated FTEN payload")
-    try:
-        return np.frombuffer(blob, dtype=dt, count=count, offset=pos).reshape(shape), end
-    except ValueError as exc:  # more than 64 axes, or an empty array with huge extents
-        raise InvalidArgument(f"unsupported FTEN shape: {exc}") from exc
+    return dt, shape
+
+
+def read_ften_payload(fh, dt, shape, out=None):
+    """Read the payload after a header into ``out`` (C-contiguous) or a new array."""
+    if out is None:
+        try:
+            out = np.empty(shape, dtype=dt)
+        except ValueError as exc:  # an empty array with extents too big to index
+            raise InvalidArgument(f"unsupported FTEN shape: {exc}") from exc
+    if fh.readinto(out.reshape(-1).view(np.uint8)) != out.nbytes:
+        raise InvalidArgument("truncated FTEN payload")
+    return out

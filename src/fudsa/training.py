@@ -2,11 +2,10 @@
 
 from __future__ import annotations
 
-import io
 import math
+import os
 import struct
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import get_args, get_origin
 
 import numpy as np
@@ -51,7 +50,8 @@ MASK_THRESHOLD = 0.5  # a pixel is foreground where the final map is >= this
 
 
 def adam_step(named_params, state: AdamState, cfg: TrainConfig):
-    """One Adam update over all parameters; missing grads count as zero."""
+    """One Adam update over all parameters; missing grads count as zero.  In place, in
+    the operation order of p -= lr * (m / bc1) / (sqrt(v / bc2) + eps), so bits match it."""
     state.t += 1
     b1, b2 = ADAM_BETA1, ADAM_BETA2
     bc1 = 1.0 - b1 ** state.t
@@ -62,11 +62,17 @@ def adam_step(named_params, state: AdamState, cfg: TrainConfig):
         g = p.grad if p.grad is not None else np.zeros_like(p.data)
         m = state.m[name]
         v = state.v[name]
+        a, u = np.empty_like(m), np.empty_like(m)
         m *= b1
-        m += (1.0 - b1) * g
+        m += np.multiply(g, 1.0 - b1, out=a)
         v *= b2
-        v += (1.0 - b2) * (g * g)
-        p.data -= cfg.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
+        v += np.multiply(np.multiply(g, g, out=a), 1.0 - b2, out=a)
+        denom = np.sqrt(np.divide(v, bc2, out=a), out=a)
+        denom += ADAM_EPS
+        step = np.divide(m, bc1, out=u)
+        step *= cfg.learning_rate
+        step /= denom
+        p.data -= step
 
 
 @dataclass
@@ -245,70 +251,78 @@ def save_checkpoint(model: FudsaNet, state: AdamState | None, path):
         for name in state.m:
             entries[f"m/{name}"] = state.m[name]
             entries[f"v/{name}"] = state.v[name]
-    buf = io.BytesIO()
-    buf.write(_CKPT_MAGIC)
-    buf.write(struct.pack("<I", len(entries)))
-    for name, arr in entries.items():
-        raw = name.encode()
-        buf.write(struct.pack("<H", len(raw)))
-        buf.write(raw)
-        T.write_ften(buf, arr)
-    Path(path).write_bytes(buf.getvalue())
+    # dtypes are checked before the file is opened, so a bad entry leaves no partial file
+    records = [(name.encode(), T._ften_array(arr)) for name, arr in entries.items()]
+    with open(path, "wb") as fh:
+        fh.write(_CKPT_MAGIC + struct.pack("<I", len(records)))
+        for raw, arr in records:
+            fh.write(struct.pack("<H", len(raw)) + raw)
+            T.write_ften(fh, arr)
 
 
 def load_checkpoint(path):
     """Rebuilds the model (and Adam state, if saved) from a FUD1 container.
 
-    The model is built without initialisation and each stored tensor is
-    copied once, straight from the file's bytes.
+    A first pass indexes the entry headers, each payload checked against the
+    file size.  Each parameter is then read into its buffer in a model built
+    without initialisation, and each Adam moment into one new array.
     """
-    blob = Path(path).read_bytes()
-    if blob[:4] != _CKPT_MAGIC:
-        raise CorruptCheckpoint(f"{path}: bad magic {blob[:4]!r}")
-    try:
-        (count,) = struct.unpack_from("<I", blob, 4)
-        pos = 8
-        entries = {}
-        for _ in range(count):
-            (nlen,) = struct.unpack_from("<H", blob, pos)
-            pos += 2
-            name = blob[pos:pos + nlen].decode()
-            pos += nlen
-            arr, pos = T._parse_ften(blob, pos)
-            entries[name] = arr
-        if pos != len(blob):
-            raise CorruptCheckpoint(f"{path}: trailing bytes")
-        config = _config_from_entries(entries)
-        # FudsaNet allocates by levels and base_channels: match them to the stored encoder first
-        first = entries.get("p/encoder.0.conv1.weight")
-        if (first is None or first.shape != (config.base_channels, config.input_channels, 3, 3)
-                or f"p/encoder.{config.levels - 1}.conv1.weight" not in entries
-                or f"p/encoder.{config.levels}.conv1.weight" in entries):
-            raise CorruptCheckpoint(
-                f"{path}: cfg levels={config.levels}, base_channels={config.base_channels}, "
-                f"input_channels={config.input_channels} do not match the stored encoder")
-        model = FudsaNet(config, seed=None)
-        for name, p in model.named_params():
-            key = f"p/{name}"
-            if key not in entries:
-                raise CorruptCheckpoint(f"{path}: missing parameter {name!r}")
-            if tuple(entries[key].shape) != p.shape:
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        head = fh.read(8)
+        if head[:4] != _CKPT_MAGIC:
+            raise CorruptCheckpoint(f"{path}: bad magic {head[:4]!r}")
+        try:
+            (count,) = struct.unpack("<I", head[4:])
+            index = {}  # name -> (dtype, shape, payload offset)
+            for _ in range(count):
+                (nlen,) = struct.unpack("<H", fh.read(2))
+                name = fh.read(nlen).decode()
+                dt, shape = T.read_ften_header(fh, size)
+                index[name] = (dt, shape, fh.tell())
+                fh.seek(math.prod(shape) * dt.itemsize, os.SEEK_CUR)
+            if fh.tell() != size:
+                raise CorruptCheckpoint(f"{path}: trailing bytes")
+
+            def read(name, out=None):
+                dt, shape, offset = index[name]
+                fh.seek(offset)
+                return T.read_ften_payload(fh, dt, shape, out)
+
+            config = _config_from_entries({n: read(n) for n in index if n.startswith("cfg/")})
+            # FudsaNet allocates by levels and base_channels: match them to the stored encoder first
+            first = index.get("p/encoder.0.conv1.weight")
+            if (first is None or first[1] != (config.base_channels, config.input_channels, 3, 3)
+                    or f"p/encoder.{config.levels - 1}.conv1.weight" not in index
+                    or f"p/encoder.{config.levels}.conv1.weight" in index):
                 raise CorruptCheckpoint(
-                    f"{path}: parameter {name!r} has shape {entries[key].shape}, "
-                    f"expected {p.shape}")
-            p.data = entries[key].astype(config.np_dtype)
-        state = None
-        if "adam/t" in entries:
-            state = AdamState([])
-            state.t = _entry_value(int, entries["adam/t"].reshape(-1)[0])
-            for name, _ in model.named_params():
-                state.m[name] = entries[f"m/{name}"].astype(config.np_dtype)
-                state.v[name] = entries[f"v/{name}"].astype(config.np_dtype)
-        return model, state
-    except CorruptCheckpoint:
-        raise
-    except (struct.error, KeyError, IndexError, UnicodeDecodeError, InvalidArgument) as exc:
-        raise CorruptCheckpoint(f"{path}: {exc}") from exc
+                    f"{path}: cfg levels={config.levels}, base_channels={config.base_channels}, "
+                    f"input_channels={config.input_channels} do not match the stored encoder")
+            model = FudsaNet(config, seed=None)
+            for name, p in model.named_params():
+                key = f"p/{name}"
+                if key not in index:
+                    raise CorruptCheckpoint(f"{path}: missing parameter {name!r}")
+                dt, shape, _ = index[key]
+                if shape != p.shape:
+                    raise CorruptCheckpoint(
+                        f"{path}: parameter {name!r} has shape {shape}, expected {p.shape}")
+                if dt == p.data.dtype:  # a stored '<f4' is float32 only on little-endian hosts
+                    read(key, p.data)
+                else:
+                    p.data = read(key).astype(config.np_dtype)
+            state = None
+            if "adam/t" in index:
+                state = AdamState([])
+                state.t = _entry_value(int, read("adam/t").reshape(-1)[0])
+                for name, _ in model.named_params():
+                    state.m[name] = read(f"m/{name}").astype(config.np_dtype, copy=False)
+                    state.v[name] = read(f"v/{name}").astype(config.np_dtype, copy=False)
+            return model, state
+        except CorruptCheckpoint:
+            raise
+        except (struct.error, KeyError, IndexError, UnicodeDecodeError, InvalidArgument) as exc:
+            raise CorruptCheckpoint(f"{path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ when the retired options' lines and entries were dropped, and nothing else
 changed.  Files written before that still load (tests/legacy/)."""
 
 import hashlib
+import io
 import struct
 import tempfile
 from pathlib import Path
@@ -106,12 +107,12 @@ def test_network_config_survives_save_load(net):
 def fud1_entries(blob):
     """{name: array} of every entry of a FUD1 container, parsed without load_checkpoint."""
     (count,) = struct.unpack_from("<I", blob, 4)
-    pos, entries = 8, {}
+    fh, entries = io.BytesIO(blob[8:]), {}
     for _ in range(count):
-        (nlen,) = struct.unpack_from("<H", blob, pos)
-        name = blob[pos + 2:pos + 2 + nlen].decode()
-        entries[name], pos = T._parse_ften(blob, pos + 2 + nlen)
-    assert pos == len(blob)
+        (nlen,) = struct.unpack("<H", fh.read(2))
+        name = fh.read(nlen).decode()
+        entries[name] = T.read_ften_payload(fh, *T.read_ften_header(fh, len(blob) - 8))
+    assert fh.tell() == len(blob) - 8
     return entries
 
 

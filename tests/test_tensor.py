@@ -338,6 +338,37 @@ def test_max_pool_matches_loop_oracle(rng):
     check_grads(lambda: T.tsum(T.mul(T.max_pool2(x), T.max_pool2(x))), [x])
 
 
+NAN, INF = np.nan, np.inf
+EDGE_WINDOWS = (
+    [[3, 3, 3, 3], [0, 0, 0, 0], [-0.0, -0.0, -0.0, -0.0]]  # all equal
+    + [[-0.0, 0, -0.0, 0], [0, -0.0, 0, -0.0], [-1, -0.0, 0, -2]]  # mixed +-0
+    + [[-INF] * 4, [-INF, -5, -INF, -INF], [-INF, -INF, -INF, 2], [INF, 1, INF, -INF]]
+    + [[NAN if k == at else v for k, v in enumerate([1, 5, 5, 2])] for at in range(4)]
+    + [[1, NAN, 3, NAN], [INF, -INF, NAN, NAN], [NAN] * 4])
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_max_pool_edge_windows_match_loop_oracle(dtype):
+    # windows side by side, each laid out row-major: [[a, b], [c, d]]
+    wins = np.array(EDGE_WINDOWS, dtype=dtype)
+    k = len(wins)
+    x = T.Tensor(wins.reshape(k, 2, 2).transpose(1, 0, 2).reshape(1, 1, 2, 2 * k).copy(),
+                 requires_grad=True)
+    g = np.arange(1, k + 1, dtype=dtype).reshape(1, 1, 1, k)
+    with T.Tape() as tape:
+        out = T.max_pool2(x)
+        T.backward(T.tsum(T.mul(out, T.Tensor(g))), tape)
+    want_out = np.empty(k, dtype=dtype)
+    want_gx = np.zeros((k, 4), dtype=dtype)
+    for w, win in enumerate(wins):
+        nan = np.isnan(win)
+        at = int(np.flatnonzero(nan)[0]) if nan.any() else int(np.flatnonzero(win == win.max())[0])
+        want_out[w] = win[at]
+        want_gx[w, at] = g[0, 0, 0, w]
+    assert np.array_equal(out.data.reshape(k), want_out, equal_nan=True)
+    assert np.array_equal(x.grad.reshape(2, k, 2).transpose(1, 0, 2).reshape(k, 4), want_gx)
+
+
 def test_max_pool_odd_extent():
     with pytest.raises(ShapeMismatch):
         T.max_pool2(T.zeros((1, 1, 3, 4)))

@@ -70,6 +70,34 @@ def test_adam_two_step_scalar_oracle():
     assert abs(p.data[0, 0, 0, 0] - w) < 1e-12
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_adam_step_matches_the_one_line_formula_bit_for_bit(dtype):
+    rng = np.random.default_rng(5)
+    shapes = {"a": (3, 2, 3, 3), "b": (1, 3, 1, 1), "none": (2, 2, 1, 1)}
+    params = [(n, T.Tensor(rng.normal(size=s).astype(dtype), requires_grad=True))
+              for n, s in shapes.items()]
+    state = AdamState(params)
+    want = {n: p.data.copy() for n, p in params}
+    m = {n: np.zeros(s, dtype) for n, s in shapes.items()}
+    v = {n: np.zeros(s, dtype) for n, s in shapes.items()}
+    lr, b1, b2 = 3e-3, training.ADAM_BETA1, training.ADAM_BETA2
+    for t in (1, 2, 3):
+        for n, p in params:  # "none" never has a gradient
+            p.grad = None if n == "none" else (rng.normal(size=p.shape) * 1e-3).astype(dtype)
+        adam_step(params, state, TrainConfig(learning_rate=lr))
+        for n, p in params:
+            g = p.grad if p.grad is not None else np.zeros_like(p.data)
+            m[n] *= b1
+            m[n] += (1.0 - b1) * g
+            v[n] *= b2
+            v[n] += (1.0 - b2) * (g * g)
+            want[n] -= lr * (m[n] / (1.0 - b1 ** t)) / (
+                np.sqrt(v[n] / (1.0 - b2 ** t)) + training.ADAM_EPS)
+        for n, p in params:
+            assert np.array_equal(p.data, want[n]) and p.data.dtype == dtype
+            assert np.array_equal(state.m[n], m[n]) and np.array_equal(state.v[n], v[n])
+
+
 def test_adam_rejects_shape_drift():
     p = T.Tensor(np.zeros((1, 1, 1, 2)), requires_grad=True)
     params = [("w", p)]
@@ -348,6 +376,50 @@ def test_checkpoint_trailing_garbage(tmp_path):
     path.write_bytes(path.read_bytes() + b"extra")
     with pytest.raises(CorruptCheckpoint):
         load_checkpoint(path)
+
+
+MIB = 2 ** 20
+FEW_MIB = NetworkConfig(levels=3, base_channels=16)  # 3.0 MiB of f32 parameters
+
+
+def _peak(fn):
+    """tracemalloc peak of fn(), in bytes."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("with_adam,factor", [(False, 1.1), (True, 3.1)])
+def test_checkpoint_load_peak_is_bounded_by_the_tensors_it_returns(tmp_path, with_adam,
+                                                                    factor):
+    # each tensor is read straight into the buffer it ends in: no whole-file
+    # bytes object and no second copy
+    model = FudsaNet(FEW_MIB, seed=1)
+    nbytes = sum(p.data.nbytes for _, p in model.named_params())
+    assert nbytes > 2 * MIB
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(model, AdamState(list(model.named_params())) if with_adam else None, path)
+    assert _peak(lambda: load_checkpoint(path)) <= factor * nbytes + MIB / 2
+
+
+def test_checkpoint_header_claiming_huge_payload_is_rejected_before_allocating(tmp_path):
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(FudsaNet(FEW_MIB, seed=None), None, path)
+    blob = bytearray(path.read_bytes())
+    name = b"p/bottleneck.conv2.weight"
+    at = blob.index(name) + len(name)
+    assert blob[at:at + 4] == b"FTEN" and blob[at + 6] == 4
+    struct.pack_into("<Q", blob, at + 12, 2 ** 40)  # first extent: 2**40 * 128 * 3 * 3 elements
+    path.write_bytes(bytes(blob))
+
+    def load():
+        with pytest.raises(CorruptCheckpoint, match="truncated FTEN payload"):
+            load_checkpoint(path)
+
+    assert _peak(load) < MIB
 
 
 def _ften_header_bytes(blob):
