@@ -33,8 +33,7 @@ class AttentionResult:
 class AttentionGate(Module):
     """Gate for level ``level`` with ``channels[i]`` channels at encoder level i+1."""
 
-    def __init__(self, level, channels, rng, reduction=4, dilations=(1, 2, 4),
-                 spatial_only=False, dtype=np.float32):
+    def __init__(self, level, channels, rng, spatial_only=False, dtype=np.float32):
         super().__init__()
         if len(channels) != level:
             raise ShapeMismatch(f"need {level} channel counts, got {len(channels)}")
@@ -46,8 +45,8 @@ class AttentionGate(Module):
             MatchChain(channels[i], c, level - i, rng, dtype=dtype)
             for i in range(level))
         self.reduce = Conv2d(2 * c, c, 1, rng, dtype=dtype)
-        self.sdc = SdcBlock(c, rng, dilations=dilations, dtype=dtype)
-        self.mlp = MlpHead(c, rng, reduction=reduction, dtype=dtype)
+        self.sdc = SdcBlock(c, rng, dtype=dtype)
+        self.mlp = MlpHead(c, rng, dtype=dtype)
         self.spatial_conv3 = Conv2d(c, c, 3, rng, padding=1, dtype=dtype)
         self.spatial_conv1 = Conv2d(c, 1, 1, rng, dtype=dtype)
 

@@ -15,7 +15,6 @@ import argparse
 import sys
 from dataclasses import replace
 from pathlib import Path
-from typing import get_args, get_origin
 
 import numpy as np
 
@@ -37,8 +36,6 @@ def _parse_value(kind, raw):
         if raw not in ("true", "false"):
             raise ValueError("expected true or false")
         return raw == "true"
-    if get_origin(kind) is tuple:
-        return tuple(_parse_value(get_args(kind)[0], p) for p in raw.split(",") if p)
     return kind(raw)
 
 
@@ -70,18 +67,10 @@ def parse_config_text(text):
     return values
 
 
-def _render_value(value):
-    if isinstance(value, bool):
-        return str(value).lower()
-    if isinstance(value, tuple):
-        return ",".join(str(v) for v in value)
-    return str(value)
-
-
 def render_config(net: NetworkConfig, tr: TrainConfig):
-    """config.txt text: every leaf field in field order."""
-    return "".join(f"{name}={_render_value(value)}\n" for cfg in (net, tr)
-                   for name, value in schema.leaf_items(cfg))
+    """config.txt text: every leaf field in field order, booleans as true/false."""
+    return "".join(f"{name}={str(value).lower() if isinstance(value, bool) else value}\n"
+                   for cfg in (net, tr) for name, value in schema.leaf_items(cfg))
 
 
 def _build_configs(values):

@@ -116,17 +116,19 @@ class MatchChain(Module):
         return x
 
 
+SDC_DILATIONS = (1, 2, 4)  # the SDC stack's rates: a 15x15 composite receptive field
+MLP_REDUCTION = 4  # the channel MLP's hidden width is ceil(C / MLP_REDUCTION)
+
+
 class SdcBlock(Module):
-    """Stacked dilated 3x3 convolutions (relu after each), channel preserving.
+    """Stacked dilated 3x3 convolutions (relu after each) at ``SDC_DILATIONS``,
+    channel preserving."""
 
-    With rates (1, 2, 4) the composite receptive field is 15x15.
-    """
-
-    def __init__(self, channels, rng, dilations=(1, 2, 4), dtype=np.float32):
+    def __init__(self, channels, rng, dtype=np.float32):
         super().__init__()
         self.convs = ModuleList(
             Conv2d(channels, channels, 3, rng, dilation=d, padding=d, dtype=dtype)
-            for d in dilations)
+            for d in SDC_DILATIONS)
 
     def __call__(self, x):
         for conv in self.convs:
@@ -135,11 +137,11 @@ class SdcBlock(Module):
 
 
 class MlpHead(Module):
-    """dense(C -> ceil(C/r)) + relu, dense(-> C) + sigmoid; output in (0,1)."""
+    """dense(C -> ceil(C/MLP_REDUCTION)) + relu, dense(-> C) + sigmoid; output in (0,1)."""
 
-    def __init__(self, channels, rng, reduction=4, dtype=np.float32):
+    def __init__(self, channels, rng, dtype=np.float32):
         super().__init__()
-        hidden = max(1, -(-channels // reduction))
+        hidden = -(-channels // MLP_REDUCTION)
         self.fc1 = Dense(channels, hidden, rng, dtype=dtype)
         self.fc2 = Dense(hidden, channels, rng, dtype=dtype)
 

@@ -22,6 +22,8 @@ class LossConfig:
         values = (self.alpha, self.beta, self.gamma, self.smooth)
         if not all(map(math.isfinite, values)):
             raise InvalidArgument(f"loss config values must be finite, got {values}")
+        if not 0 <= self.alpha <= 1:  # with alpha + beta = 1 this bounds beta too
+            raise InvalidArgument(f"alpha must be in [0, 1], got {self.alpha}")
         if abs(self.alpha + self.beta - 1.0) > 1e-9:
             raise InvalidArgument(f"alpha + beta must equal 1, got {self.alpha + self.beta}")
         if self.gamma <= 0:

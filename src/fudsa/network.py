@@ -35,13 +35,13 @@ VARIANTS = {
 }
 
 
+INPUT_CHANNELS = 1  # a CT slice is one grey channel
+
+
 @dataclass(frozen=True)
 class NetworkConfig:
     levels: int = 4
     base_channels: int = 16
-    input_channels: int = 1
-    reduction: int = 4
-    sdc_dilations: tuple[int, ...] = (1, 2, 4)
     dtype: str = "f32"
     variant: VariantFlags = field(default_factory=VariantFlags)
 
@@ -50,9 +50,6 @@ class NetworkConfig:
             raise InvalidArgument(f"levels must be >= 2, got {self.levels}")
         if self.base_channels < 1:
             raise InvalidArgument(f"base_channels must be >= 1, got {self.base_channels}")
-        if self.reduction < 1 or any(d < 1 for d in self.sdc_dilations):
-            raise InvalidArgument(f"reduction and sdc_dilations must be >= 1, got "
-                                  f"{self.reduction} and {self.sdc_dilations}")
         if self.dtype not in ("f32", "f64"):
             raise InvalidArgument(f"dtype must be f32 or f64, got {self.dtype!r}")
 
@@ -89,11 +86,9 @@ class _DecoderLevel(Module):
     def __init__(self, cfg: NetworkConfig, level: int, rng, dtype):
         super().__init__()
         c = cfg.channels_at(level)
-        self.level = level
         self.up_conv = Conv2d(2 * c, c, 3, rng, padding=1, dtype=dtype)
         self.attention = AttentionGate(
             level, [cfg.channels_at(i) for i in range(1, level + 1)], rng,
-            reduction=cfg.reduction, dilations=cfg.sdc_dilations,
             spatial_only=cfg.variant.spatial_only, dtype=dtype)
         self.block = ConvBlock(2 * c, c, rng, dtype=dtype)
         # residual projections from every deeper decoder level m > level
@@ -116,12 +111,10 @@ class FudsaNet(Module):
         rng = None if seed is None else np.random.default_rng(seed)
         cfg = config
 
-        enc = ModuleList()
-        in_ch = cfg.input_channels
-        for level in range(1, cfg.levels + 1):
-            enc.append(ConvBlock(in_ch, cfg.channels_at(level), rng, dtype=dtype))
-            in_ch = cfg.channels_at(level)
-        self.encoder = enc
+        self.encoder = ModuleList(
+            ConvBlock(cfg.channels_at(level - 1) if level > 1 else INPUT_CHANNELS,
+                      cfg.channels_at(level), rng, dtype=dtype)
+            for level in range(1, cfg.levels + 1))
         self.bottleneck = ConvBlock(cfg.channels_at(cfg.levels),
                                     cfg.channels_at(cfg.levels + 1), rng, dtype=dtype)
         self.decoder = ModuleList(
@@ -142,7 +135,7 @@ class FudsaNet(Module):
 
         enc_maps = []
         cur = x
-        for level, block in enumerate(self.encoder, start=1):
+        for block in self.encoder:
             cur = block(cur)
             enc_maps.append(cur)
             cur = T.max_pool2(cur)

@@ -17,7 +17,11 @@ from typing import get_type_hints
 # never written: files written before the removal load; any other value is an error
 RETIRED = {"upsample_mode": ("bilinear", "cfg/upsample_bilinear", 1.0),
            "channel_branch_includes_sl": ("false", "cfg/channel_branch_includes_sl", 0.0),
-           "side_weights": (None, None, None)}
+           "side_weights": (None, None, None),
+           "input_channels": ("1", "cfg/input_channels", 1),
+           "reduction": ("4", "cfg/reduction", 4),
+           "sdc_dilations": ("1,2,4", "cfg/sdc_dilations", (1, 2, 4)),
+           "min_delta": ("1e-05", None, None)}
 
 
 def leaf_types(cls) -> dict:

@@ -6,7 +6,6 @@ import math
 import os
 import struct
 from dataclasses import dataclass, field
-from typing import get_args, get_origin
 
 import numpy as np
 
@@ -14,7 +13,7 @@ from . import schema
 from . import tensor as T
 from .errors import CorruptCheckpoint, InvalidArgument, InvalidState, NumericalDivergence
 from .losses import LossConfig, MetricsRecord, confusion_counts, supervised_loss
-from .network import FudsaNet, NetworkConfig
+from .network import INPUT_CHANNELS, FudsaNet, NetworkConfig
 
 
 @dataclass(frozen=True)
@@ -23,15 +22,12 @@ class TrainConfig:
     batch_size: int = 4
     max_epochs: int = 300
     patience: int = 10
-    min_delta: float = 1e-5
     seed: int = 0
     loss: LossConfig = field(default_factory=LossConfig)
 
     def __post_init__(self):
         if not 0 < self.learning_rate < math.inf:
             raise InvalidArgument(f"learning_rate must be finite and > 0, got {self.learning_rate}")
-        if not math.isfinite(self.min_delta):
-            raise InvalidArgument(f"min_delta must be finite, got {self.min_delta}")
         for name, lo in (("patience", 1), ("batch_size", 1), ("max_epochs", 1), ("seed", 0)):
             if getattr(self, name) < lo:
                 raise InvalidArgument(f"{name} must be >= {lo}, got {getattr(self, name)}")
@@ -47,6 +43,7 @@ class AdamState:
 
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 MASK_THRESHOLD = 0.5  # a pixel is foreground where the final map is >= this
+MIN_DELTA = 1e-5  # an epoch improves when its val loss is below the best by more than this
 
 
 def adam_step(named_params, state: AdamState, cfg: TrainConfig):
@@ -183,7 +180,7 @@ def train(model: FudsaNet, train_set, val_set, cfg: TrainConfig,
         if log:
             log(rec)
 
-        if val_loss < best_loss - cfg.min_delta:
+        if val_loss < best_loss - MIN_DELTA:
             best_loss = val_loss
             best_epoch = epoch
             best_snap = _snapshot(model)
@@ -205,31 +202,25 @@ _CKPT_MAGIC = b"FUD1"
 
 
 def _config_entries(cfg: NetworkConfig):
-    """cfg/ entries: the scalar leaf fields in field order (dtype as the flag f64), then tuples."""
-    scalars, tuples = {}, {}
+    """cfg/ entries: the leaf fields in field order, dtype as the flag f64."""
+    entries = {}
     for name, value in schema.leaf_items(cfg):
-        if isinstance(value, tuple):
-            tuples[f"cfg/{name}"] = np.array(value, dtype=np.float64).reshape(1, -1, 1, 1)
-            continue
         if name == "dtype":
             name, value = "f64", value == "f64"
-        scalars[f"cfg/{name}"] = np.full((1, 1, 1, 1), float(value), dtype=np.float64)
-    return {**scalars, **tuples}
+        entries[f"cfg/{name}"] = np.full((1, 1, 1, 1), float(value), dtype=np.float64)
+    return entries
 
 
 def _config_from_entries(entries):
     for option, (_, entry, keep) in schema.RETIRED.items():
-        held = entries[entry].reshape(-1)[0] if entry in entries else keep
-        if held != keep:
-            raise CorruptCheckpoint(f"{entry} holds {held}, but {option} is retired "
-                                    f"and only {keep} loads")
+        held = entries[entry].reshape(-1) if entry in entries else None
+        if held is not None and not np.array_equal(held, np.reshape(keep, -1)):  # every element
+            raise CorruptCheckpoint(f"{entry} holds {','.join(map(str, held))}, but {option} "
+                                    f"is retired and only {keep} loads")
     values = {}
     for name, kind in schema.leaf_types(NetworkConfig).items():
         if name == "dtype":
             values[name] = "f64" if entries["cfg/f64"].reshape(-1)[0] else "f32"
-        elif get_origin(kind) is tuple:
-            item = get_args(kind)[0]
-            values[name] = tuple(_entry_value(item, v) for v in entries[f"cfg/{name}"].reshape(-1))
         else:
             values[name] = _entry_value(kind, entries[f"cfg/{name}"].reshape(-1)[0])
     return schema.build(NetworkConfig, values)
@@ -292,12 +283,11 @@ def load_checkpoint(path):
             config = _config_from_entries({n: read(n) for n in index if n.startswith("cfg/")})
             # FudsaNet allocates by levels and base_channels: match them to the stored encoder first
             first = index.get("p/encoder.0.conv1.weight")
-            if (first is None or first[1] != (config.base_channels, config.input_channels, 3, 3)
+            if (first is None or first[1] != (config.base_channels, INPUT_CHANNELS, 3, 3)
                     or f"p/encoder.{config.levels - 1}.conv1.weight" not in index
                     or f"p/encoder.{config.levels}.conv1.weight" in index):
-                raise CorruptCheckpoint(
-                    f"{path}: cfg levels={config.levels}, base_channels={config.base_channels}, "
-                    f"input_channels={config.input_channels} do not match the stored encoder")
+                raise CorruptCheckpoint(f"{path}: cfg levels={config.levels}, base_channels="
+                                        f"{config.base_channels} do not match the stored encoder")
             model = FudsaNet(config, seed=None)
             for name, p in model.named_params():
                 key = f"p/{name}"
@@ -315,9 +305,14 @@ def load_checkpoint(path):
             if "adam/t" in index:
                 state = AdamState([])
                 state.t = _entry_value(int, read("adam/t").reshape(-1)[0])
-                for name, _ in model.named_params():
-                    state.m[name] = read(f"m/{name}").astype(config.np_dtype, copy=False)
-                    state.v[name] = read(f"v/{name}").astype(config.np_dtype, copy=False)
+                for name, p in model.named_params():
+                    for key, moments in ((f"m/{name}", state.m), (f"v/{name}", state.v)):
+                        dt, shape, _ = index[key]
+                        if shape != p.shape or dt.itemsize != p.data.dtype.itemsize:
+                            raise CorruptCheckpoint(
+                                f"{path}: {key} is {dt.name} {shape}, but parameter {name!r} "
+                                f"is {p.data.dtype.name} {p.shape}")
+                        moments[name] = read(key).astype(config.np_dtype, copy=False)
             return model, state
         except CorruptCheckpoint:
             raise

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from fudsa import cli
+from fudsa import cli, schema
 from fudsa import data as D
 from fudsa import tensor as T
 from fudsa.losses import LossConfig
@@ -27,18 +27,16 @@ def sha256(data):
     return hashlib.sha256(data).hexdigest()
 
 
-F64_NET = NetworkConfig(levels=3, base_channels=4, dtype="f64", sdc_dilations=(1, 3),
-                        variant=VARIANTS["I"])
-CUSTOM_TRAIN = TrainConfig(learning_rate=3e-4, batch_size=2, max_epochs=7, patience=2,
-                           min_delta=0.0, seed=11,
+F64_NET = NetworkConfig(levels=3, base_channels=4, dtype="f64", variant=VARIANTS["I"])
+CUSTOM_TRAIN = TrainConfig(learning_rate=3e-4, batch_size=2, max_epochs=7, patience=2, seed=11,
                            loss=LossConfig(alpha=0.6, beta=0.4, gamma=1.5, smooth=1e-5))
 
 
 def test_render_config_golden_digests():
     assert sha256(cli.render_config(NetworkConfig(), TrainConfig()).encode()) == \
-        "65044c7c23d9fb72ac3bbb346ac97131a33b2713b5581dad53adffbcd12e1e68"
+        "939170aa9b3fe9f84d217513c189c6b410b423d718c313d83ad614010bde50cb"
     assert sha256(cli.render_config(F64_NET, CUSTOM_TRAIN).encode()) == \
-        "d0d0b9901c707b19e133cd07e9234747d7d56f33df390a6f7afe6d1195fe6920"
+        "49ee7b8b1a4e2c14730603e91554b2d22a4a6ef6b2fe870acb2e8bbd334eeba0"
 
 
 def test_checkpoint_golden_digests(tmp_path):
@@ -46,7 +44,7 @@ def test_checkpoint_golden_digests(tmp_path):
     save_checkpoint(FudsaNet(NetworkConfig(levels=2, base_channels=4, variant=VARIANTS["II"]),
                              seed=3), None, path)
     assert sha256(path.read_bytes()) == \
-        "de44b86465154b4734d5998510556036681bfa7b0d6c124d3c4a928592153975"
+        "665d5bb9f87bb6d58af4baedf669f1b3ca3980ea2044a158b00d871b6654f9e7"
 
     model = FudsaNet(F64_NET, seed=5)
     params = list(model.named_params())
@@ -56,19 +54,15 @@ def test_checkpoint_golden_digests(tmp_path):
     adam_step(params, state, TrainConfig(learning_rate=1e-3))
     save_checkpoint(model, state, path)
     assert sha256(path.read_bytes()) == \
-        "e799cf3c4237e97c733b53921d18069b5ec42a67e11cce6f0be05010ad5cc93e"
+        "cc36658561f6fd7a3a145f7dc4f75ab6b3e51872a9a83fc94dd7f3a3e64df5f7"
 
 
-finite = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
 positive = st.floats(1e-12, 1e3, allow_nan=False, allow_infinity=False)
 
 network_configs = st.builds(
     NetworkConfig,
     levels=st.integers(2, 4),
     base_channels=st.integers(1, 3),
-    input_channels=st.integers(1, 3),
-    reduction=st.integers(1, 8),
-    sdc_dilations=st.lists(st.integers(1, 4), min_size=1, max_size=3).map(tuple),
     dtype=st.sampled_from(["f32", "f64"]),
     variant=st.builds(VariantFlags, st.booleans(), st.booleans(), st.booleans()))
 
@@ -81,7 +75,7 @@ def loss_configs(draw):
 
 train_configs = st.builds(
     TrainConfig, learning_rate=positive, batch_size=st.integers(1, 64),
-    max_epochs=st.integers(1, 1000), patience=st.integers(1, 100), min_delta=finite,
+    max_epochs=st.integers(1, 1000), patience=st.integers(1, 100),
     seed=st.integers(0, 2**31), loss=loss_configs())
 
 
@@ -101,8 +95,8 @@ def test_network_config_survives_save_load(net):
 
 
 # ---------------------------------------------------------------------------
-# files written before upsample_mode, channel_branch_includes_sl and
-# side_weights were retired (tests/legacy/README.md says how they were made)
+# files written before the options of schema.RETIRED were retired
+# (tests/legacy/README.md says how they were made)
 
 def fud1_entries(blob):
     """{name: array} of every entry of a FUD1 container, parsed without load_checkpoint."""
@@ -121,11 +115,12 @@ LEGACY_NET = NetworkConfig(levels=2, base_channels=1)
 
 def test_legacy_config_txt_loads():
     old = (LEGACY / "config.txt").read_text()
-    assert "upsample_mode=bilinear\n" in old and "channel_branch_includes_sl=false\n" in old
+    retired = [f"{key}={keep}\n" for key, (keep, _, _) in schema.RETIRED.items() if keep]
+    assert len(retired) == 6 and all(line in old for line in retired)
     net, tr = cli._build_configs(cli.parse_config_text(old))
     assert (net, tr) == (LEGACY_NET, TrainConfig(batch_size=2, max_epochs=1))
-    assert cli.render_config(net, tr) == old.replace("upsample_mode=bilinear\n", "").replace(
-        "channel_branch_includes_sl=false\n", "")
+    assert cli.render_config(net, tr) == "".join(
+        line for line in old.splitlines(keepends=True) if line not in retired)
 
 
 def test_legacy_checkpoint_loads_and_forwards_as_written(tmp_path):
@@ -143,6 +138,7 @@ def test_legacy_checkpoint_loads_and_forwards_as_written(tmp_path):
 
     save_checkpoint(model, None, tmp_path / "resaved.ckpt")
     resaved = fud1_entries((tmp_path / "resaved.ckpt").read_bytes())
-    retired = {"cfg/upsample_bilinear", "cfg/channel_branch_includes_sl"}
-    assert set(stored) - set(resaved) == retired and len(resaved) == len(stored) - 2
+    retired = {"cfg/upsample_bilinear", "cfg/channel_branch_includes_sl", "cfg/input_channels",
+               "cfg/reduction", "cfg/sdc_dilations"}
+    assert set(stored) - set(resaved) == retired and len(resaved) == len(stored) - 5
     assert all(np.array_equal(resaved[k], stored[k]) for k in resaved)

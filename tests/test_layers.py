@@ -149,9 +149,9 @@ def test_mlp_zero_params_give_half():
 
 
 def test_mlp_hidden_width():
-    head = MlpHead(8, rng64(), reduction=4)
+    head = MlpHead(8, rng64())
     assert head.fc1.weight.shape == (2, 8, 1, 1)
-    head = MlpHead(5, rng64(), reduction=4)
+    head = MlpHead(5, rng64())
     assert head.fc1.weight.shape == (2, 5, 1, 1)  # ceil(5/4)
 
 

@@ -99,7 +99,8 @@ def test_loss_config_validation():
         LossConfig(alpha=0.7, beta=0.4)
     with pytest.raises(InvalidArgument):
         LossConfig(gamma=0)
-    for bad in ({"gamma": float("nan")}, {"smooth": float("nan")}, {"alpha": float("nan")}):
+    for bad in ({"gamma": float("nan")}, {"smooth": float("nan")}, {"alpha": float("nan")},
+                {"alpha": 2.0, "beta": -1.0}, {"alpha": -0.5, "beta": 1.5}):
         with pytest.raises(InvalidArgument):
             LossConfig(**bad)
 
