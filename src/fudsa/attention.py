@@ -18,7 +18,7 @@ import numpy as np
 
 from . import tensor as T
 from .errors import ShapeMismatch
-from .layers import Conv2d, MatchChain, MlpHead, Module, ModuleList, SdcBlock
+from .layers import Conv2d, MatchChain, MlpHead, Module, SdcBlock
 
 
 @dataclass
@@ -34,16 +34,14 @@ class AttentionGate(Module):
     """Gate for level ``level`` with ``channels[i]`` channels at encoder level i+1."""
 
     def __init__(self, level, channels, rng, spatial_only=False, dtype=np.float32):
-        super().__init__()
         if len(channels) != level:
             raise ShapeMismatch(f"need {level} channel counts, got {len(channels)}")
         self.level = level
         self.spatial_only = spatial_only
         c = channels[-1]
         # one match chain per encoder level i = 1..l; level i needs l-i+1 halvings
-        self.match_chains = ModuleList(
-            MatchChain(channels[i], c, level - i, rng, dtype=dtype)
-            for i in range(level))
+        self.match_chains = [MatchChain(channels[i], c, level - i, rng, dtype=dtype)
+                             for i in range(level)]
         self.reduce = Conv2d(2 * c, c, 1, rng, dtype=dtype)
         self.sdc = SdcBlock(c, rng, dtype=dtype)
         self.mlp = MlpHead(c, rng, dtype=dtype)

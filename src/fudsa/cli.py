@@ -39,6 +39,15 @@ def _parse_value(kind, raw):
     return kind(raw)
 
 
+def _same_value(raw, keep):
+    """Whether a retired key's text names the value that remains: its comma-separated
+    fields compare as floats when both sides parse, else as text."""
+    try:
+        return [float(f) for f in raw.split(",")] == [float(f) for f in keep.split(",")]
+    except ValueError:
+        return raw == keep
+
+
 def parse_config_text(text):
     """Flat key=value lines, '#' comments; the keys are the leaf config fields."""
     values = {}
@@ -52,7 +61,7 @@ def parse_config_text(text):
         key, raw = key.strip(), raw.strip()
         if key in schema.RETIRED:  # skipped if it holds the value that remains
             keep = schema.RETIRED[key][0]
-            if raw != keep:
+            if keep is None or not _same_value(raw, keep):
                 raise InvalidArgument(f"config line {lineno}: {key} is a retired option"
                                       + (f"; only {key}={keep} is accepted" if keep else ""))
             continue

@@ -196,7 +196,7 @@ def write_manifest(path, ids, split: SplitManifest | None = None):
 
 def read_manifest(path):
     """Returns (ids, split-or-None)."""
-    ids, split, seed, section = [], None, None, None
+    ids, split, seed, section, seen = [], None, None, None, set()
     for line in Path(path).read_text().splitlines():
         line = line.strip()
         if not line:
@@ -213,7 +213,11 @@ def read_manifest(path):
                 raise InvalidArgument(f"{path}: {line!r} comes before the '# split seed=' line")
             section = split.train_ids if line == "train:" else split.val_ids
             continue
-        (ids if section is None else section).append(line)
+        listed = ids if section is None else section
+        if (id(listed), line) in seen:  # an id may appear once per list
+            raise InvalidArgument(f"{path}: id {line!r} is listed twice")
+        seen.add((id(listed), line))
+        listed.append(line)
     if split is not None:
         both = set(split.train_ids) & set(split.val_ids)
         if both:

@@ -1,8 +1,9 @@
 """Parametric building blocks composed from tensor ops.
 
-``Module`` gives pytorch-flavoured parameter registration: assigning a
-Tensor with requires_grad, a Module, or a ModuleList to an attribute makes it
-reachable through ``named_params()`` in a stable insertion order.
+A module's parameters are its attributes.  ``named_params()`` walks
+``vars(self)`` in assignment order: a Tensor that requires a gradient is a
+parameter, a Module is recursed into, and a list holds Modules named
+``<attr>.<i>.``.
 """
 
 from __future__ import annotations
@@ -14,22 +15,15 @@ from .errors import ShapeMismatch
 
 
 class Module:
-    def __init__(self):
-        object.__setattr__(self, "_params", {})
-        object.__setattr__(self, "_children", {})
-
-    def __setattr__(self, name, value):
-        if isinstance(value, T.Tensor) and value.requires_grad:
-            self._params[name] = value
-        elif isinstance(value, (Module, ModuleList)):
-            self._children[name] = value
-        object.__setattr__(self, name, value)
-
     def named_params(self, prefix=""):
-        for name, p in self._params.items():
-            yield prefix + name, p
-        for name, child in self._children.items():
-            yield from child.named_params(prefix + name + ".")
+        for name, value in vars(self).items():
+            if isinstance(value, T.Tensor) and value.requires_grad:
+                yield prefix + name, value
+            elif isinstance(value, Module):
+                yield from value.named_params(f"{prefix}{name}.")
+            elif isinstance(value, list):
+                for i, child in enumerate(value):
+                    yield from child.named_params(f"{prefix}{name}.{i}.")
 
     def params(self):
         return [p for _, p in self.named_params()]
@@ -37,12 +31,6 @@ class Module:
     def zero_grad(self):
         for p in self.params():
             p.zero_grad()
-
-
-class ModuleList(list):
-    def named_params(self, prefix=""):
-        for i, child in enumerate(self):
-            yield from child.named_params(f"{prefix}{i}.")
 
 
 def _weight(shape, fan_in, rng, dtype):
@@ -55,7 +43,6 @@ def _weight(shape, fan_in, rng, dtype):
 class Conv2d(Module):
     def __init__(self, in_ch, out_ch, k, rng, stride=1, dilation=1, padding=0,
                  dtype=np.float32):
-        super().__init__()
         self.stride = stride
         self.dilation = dilation
         self.padding = padding
@@ -67,11 +54,8 @@ class Conv2d(Module):
                         dilation=self.dilation, padding=self.padding)
 
 
-class Dense(Module):
-    def __init__(self, in_ch, out_ch, rng, dtype=np.float32):
-        super().__init__()
-        self.weight = _weight((out_ch, in_ch, 1, 1), in_ch, rng, dtype)
-        self.bias = T.zeros((1, out_ch, 1, 1), dtype=dtype, requires_grad=True)
+class Dense(Conv2d):
+    """A 1x1 convolution on (N, C, 1, 1) maps, computed as a matrix product."""
 
     def __call__(self, x):
         return T.dense(x, self.weight, self.bias)
@@ -81,7 +65,6 @@ class ConvBlock(Module):
     """Two 3x3 same-padding convolutions, each followed by relu."""
 
     def __init__(self, in_ch, out_ch, rng, dtype=np.float32):
-        super().__init__()
         self.conv1 = Conv2d(in_ch, out_ch, 3, rng, padding=1, dtype=dtype)
         self.conv2 = Conv2d(out_ch, out_ch, 3, rng, padding=1, dtype=dtype)
 
@@ -99,12 +82,9 @@ class MatchChain(Module):
     """
 
     def __init__(self, src_ch, dst_ch, hops, rng, dtype=np.float32):
-        super().__init__()
         self.hops = hops
-        self.convs = ModuleList(
-            Conv2d(src_ch, dst_ch if h == hops - 1 else src_ch, 2, rng,
-                   stride=2, dtype=dtype)
-            for h in range(hops))
+        self.convs = [Conv2d(src_ch, dst_ch if h == hops - 1 else src_ch, 2, rng, stride=2,
+                             dtype=dtype) for h in range(hops)]
 
     def __call__(self, x):
         expect = x.shape[2] >> self.hops, x.shape[3] >> self.hops
@@ -125,10 +105,8 @@ class SdcBlock(Module):
     channel preserving."""
 
     def __init__(self, channels, rng, dtype=np.float32):
-        super().__init__()
-        self.convs = ModuleList(
-            Conv2d(channels, channels, 3, rng, dilation=d, padding=d, dtype=dtype)
-            for d in SDC_DILATIONS)
+        self.convs = [Conv2d(channels, channels, 3, rng, dilation=d, padding=d, dtype=dtype)
+                      for d in SDC_DILATIONS]
 
     def __call__(self, x):
         for conv in self.convs:
@@ -140,10 +118,9 @@ class MlpHead(Module):
     """dense(C -> ceil(C/MLP_REDUCTION)) + relu, dense(-> C) + sigmoid; output in (0,1)."""
 
     def __init__(self, channels, rng, dtype=np.float32):
-        super().__init__()
         hidden = -(-channels // MLP_REDUCTION)
-        self.fc1 = Dense(channels, hidden, rng, dtype=dtype)
-        self.fc2 = Dense(hidden, channels, rng, dtype=dtype)
+        self.fc1 = Dense(channels, hidden, 1, rng, dtype=dtype)
+        self.fc2 = Dense(hidden, channels, 1, rng, dtype=dtype)
 
     def __call__(self, x):
         return T.sigmoid(self.fc2(T.relu(self.fc1(x))))

@@ -40,7 +40,8 @@ def _check_pair(p: T.Tensor, y: T.Tensor):
         raise InvalidLabel("target mask must contain only 0 and 1")
 
 
-def tversky_index(p: T.Tensor, y: T.Tensor, alpha=0.7, beta=0.3, smooth=1e-6) -> T.Tensor:
+def tversky_index(p: T.Tensor, y: T.Tensor, alpha=LossConfig.alpha, beta=LossConfig.beta,
+                  smooth=LossConfig.smooth) -> T.Tensor:
     """Soft Tversky index pooled over the whole batch; differentiable in p."""
     _check_pair(p, y)
     tp = T.tsum(T.mul(p, y))

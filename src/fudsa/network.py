@@ -17,7 +17,7 @@ import numpy as np
 from . import tensor as T
 from .attention import AttentionGate
 from .errors import InvalidArgument, ShapeMismatch
-from .layers import Conv2d, ConvBlock, Module, ModuleList
+from .layers import Conv2d, ConvBlock, Module
 
 
 @dataclass(frozen=True)
@@ -36,6 +36,7 @@ VARIANTS = {
 
 
 INPUT_CHANNELS = 1  # a CT slice is one grey channel
+MAX_CHANNELS = 1024  # the bottleneck's widest allowed width: 4x the default's 256
 
 
 @dataclass(frozen=True)
@@ -84,7 +85,6 @@ class ForwardOutputs:
 
 class _DecoderLevel(Module):
     def __init__(self, cfg: NetworkConfig, level: int, rng, dtype):
-        super().__init__()
         c = cfg.channels_at(level)
         self.up_conv = Conv2d(2 * c, c, 3, rng, padding=1, dtype=dtype)
         self.attention = AttentionGate(
@@ -92,9 +92,8 @@ class _DecoderLevel(Module):
             spatial_only=cfg.variant.spatial_only, dtype=dtype)
         self.block = ConvBlock(2 * c, c, rng, dtype=dtype)
         # residual projections from every deeper decoder level m > level
-        self.proj = ModuleList(
-            Conv2d(cfg.channels_at(m), c, 1, rng, dtype=dtype)
-            for m in range(level + 1, cfg.levels + 1))
+        self.proj = [Conv2d(cfg.channels_at(m), c, 1, rng, dtype=dtype)
+                     for m in range(level + 1, cfg.levels + 1)]
 
 
 class FudsaNet(Module):
@@ -105,29 +104,26 @@ class FudsaNet(Module):
     """
 
     def __init__(self, config: NetworkConfig, seed: int | None = 0):
-        super().__init__()
+        widest = config.channels_at(config.levels + 1)
+        if widest > MAX_CHANNELS:  # checked before anything is allocated
+            raise InvalidArgument(f"base_channels * 2^levels = {widest} channels at the "
+                                  f"bottleneck; at most {MAX_CHANNELS} are allowed")
         self.config = config
         dtype = config.np_dtype
         rng = None if seed is None else np.random.default_rng(seed)
         cfg = config
 
-        self.encoder = ModuleList(
-            ConvBlock(cfg.channels_at(level - 1) if level > 1 else INPUT_CHANNELS,
-                      cfg.channels_at(level), rng, dtype=dtype)
-            for level in range(1, cfg.levels + 1))
+        self.encoder = [ConvBlock(cfg.channels_at(level - 1) if level > 1 else INPUT_CHANNELS,
+                                  cfg.channels_at(level), rng, dtype=dtype)
+                        for level in range(1, cfg.levels + 1)]
         self.bottleneck = ConvBlock(cfg.channels_at(cfg.levels),
                                     cfg.channels_at(cfg.levels + 1), rng, dtype=dtype)
-        self.decoder = ModuleList(
-            _DecoderLevel(cfg, level, rng, dtype)
-            for level in range(cfg.levels, 0, -1))
+        self.decoder = [_DecoderLevel(cfg, level, rng, dtype)
+                        for level in range(cfg.levels, 0, -1)]
         self.final_head = Conv2d(cfg.base_channels, 1, 1, rng, dtype=dtype)
         if cfg.variant.deep_supervision:
-            self.side_heads = ModuleList(
-                Conv2d(cfg.channels_at(level), 1, 1, rng, dtype=dtype)
-                for level in range(2, cfg.levels + 1))
-
-    def _decoder_at(self, level) -> _DecoderLevel:
-        return self.decoder[self.config.levels - level]
+            self.side_heads = [Conv2d(cfg.channels_at(level), 1, 1, rng, dtype=dtype)
+                               for level in range(2, cfg.levels + 1)]
 
     def forward(self, x: T.Tensor) -> ForwardOutputs:
         cfg = self.config
@@ -143,8 +139,7 @@ class FudsaNet(Module):
 
         dec_maps: dict[int, T.Tensor] = {}
         attn: dict[int, object] = {}
-        for level in range(cfg.levels, 0, -1):
-            dl = self._decoder_at(level)
+        for dl, level in zip(self.decoder, range(cfg.levels, 0, -1)):
             u = dl.up_conv(T.upsample(g_next, 2))
             res = dl.attention(enc_maps[:level], g_next)
             attn[level] = res
@@ -166,9 +161,3 @@ class FudsaNet(Module):
         return ForwardOutputs(final, sides, enc_maps, attn, dec_maps)
 
     __call__ = forward
-
-    def parameter_summary(self):
-        """Stable list of (name, shape, count) plus the grand total."""
-        rows = [(name, p.shape, int(np.prod(p.shape)))
-                for name, p in self.named_params()]
-        return rows, sum(r[2] for r in rows)

@@ -184,6 +184,17 @@ def test_preprocess_echoes_window_defaults(raw_dir, tmp_path, capsys):
     assert "lo_hu=-1000.0" in out and "hi_hu=170.0" in out
 
 
+def test_preprocess_id_listed_twice_exits_2(tmp_path, raw_dir, capsys):
+    # it once wrote a split holding the id under both train: and val:
+    manifest = raw_dir / "manifest.txt"
+    first = D.read_manifest(manifest)[0][0]
+    manifest.write_text(manifest.read_text() + first + "\n")
+    assert run("preprocess", "--in", str(raw_dir), "--out", str(tmp_path / "p"),
+               "--size", "32") == 2
+    assert f"id {first!r} is listed twice" in capsys.readouterr().err
+    assert not (tmp_path / "p").exists()
+
+
 def test_preprocess_rejects_empty_validation_split(tmp_path, capsys):
     # ceil(0.8 n) = n for n <= 4, so three slices leave nothing to validate on
     raw = tmp_path / "raw"
@@ -296,13 +307,31 @@ def test_train_config_txt_written_before_retirement_reproduces(tmp_path, data_di
 @pytest.mark.parametrize("line", ["upsample_mode=nearest", "channel_branch_includes_sl=true",
                                   "side_weights=0.5,0.5", "upsample_mode=bilinear,",
                                   "side_weights=", "input_channels=3", "reduction=2",
-                                  "sdc_dilations=1,3", "min_delta=0"])
+                                  "sdc_dilations=1,3", "min_delta=0", "reduction=4.5",
+                                  "sdc_dilations=1,2"])
 def test_train_retired_option_with_another_value_exits_2(tmp_path, data_dir, capsys, line):
     cfg = tmp_path / "cfg.txt"
     cfg.write_text("levels=2\nbase_channels=1\nmax_epochs=1\n" + line + "\n")
     assert run("train", "--data", str(data_dir), "--config", str(cfg),
                "--out", str(tmp_path / "o")) == 2
     assert f"{line.split('=')[0]} is a retired option" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("line", ["min_delta=1e-5", "sdc_dilations=1, 2, 4", "reduction=4.0",
+                                  "input_channels=01"])
+def test_config_retired_option_spelling_the_remaining_value_is_skipped(line):
+    # numeric fields compare as numbers, not as the text that train writes
+    assert cli.parse_config_text("levels=2\n" + line + "\n") == {"levels": 2}
+
+
+def test_train_width_beyond_the_bound_exits_2(tmp_path, data_dir, capsys):
+    # checked before the model is built: this width once died with a MemoryError traceback
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(f"levels=2\nbase_channels={2 ** 40}\nmax_epochs=1\n")
+    assert run("train", "--data", str(data_dir), "--config", str(cfg),
+               "--out", str(tmp_path / "o")) == 2
+    assert "at most 1024 are allowed" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 
 
@@ -511,6 +540,11 @@ def test_gradcheck_levels_beyond_size_exits_2(capsys):
     # checked before the model is built: levels=40 once tried to allocate GiBs
     assert run("gradcheck", "--levels", "40", "--size", "32") == 2
     assert "input extents 32x32 must be divisible by 2^40" in capsys.readouterr().err
+
+
+def test_gradcheck_width_beyond_the_bound_exits_2(capsys):
+    assert run("gradcheck", "--levels", "2", "--channels", str(2 ** 40), "--size", "16") == 2
+    assert "at most 1024 are allowed" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

@@ -147,6 +147,15 @@ def test_manifest_rejects_leaking_split(tmp_path, train, val):
         D.read_manifest(path)
 
 
+@pytest.mark.parametrize("text", ["a\nb\na\n",
+                                  "a\nb\n# split seed=0\ntrain:\na\na\nval:\nb\n"])
+def test_manifest_rejects_an_id_listed_twice(tmp_path, text):
+    path = tmp_path / "manifest.txt"
+    path.write_text(text)
+    with pytest.raises(InvalidArgument, match="'a' is listed twice"):
+        D.read_manifest(path)
+
+
 def test_manifest_without_split(tmp_path):
     path = tmp_path / "manifest.txt"
     D.write_manifest(path, ["a", "b"])

@@ -32,29 +32,36 @@ def test_build_deterministic():
                for (_, pa), (_, pc) in zip(a.named_params(), c.named_params()))
 
 
+PINNED_INIT = {  # (levels, base_channels, dtype, variant) -> sha256 of names and seed-3 init
+    (2, 4, "f32", "full"): "a87c54cd2dcfa39a551289c432cfb6cb555b08f5f76159fa633791b7add54d99",
+    (2, 4, "f32", "III"): "a87c54cd2dcfa39a551289c432cfb6cb555b08f5f76159fa633791b7add54d99",
+    (2, 4, "f64", "full"): "60b3f4777229570852f35f380f1fb7cdd6b4e61fca9b8b74491d11d792d3ddad",
+    (4, 16, "f32", "full"): "682d8b5347bc760cb927496f0175e10aa63e405d593336baef28ff20f084b742",
+}
+
+
 def test_seeded_build_is_pinned():
     # criterion 7 and saved checkpoints rely on this exact initialisation
-    h = hashlib.sha256()
-    for name, p in FudsaNet(NetworkConfig(levels=2, base_channels=4), seed=3).named_params():
-        h.update(name.encode())
-        h.update(p.data.tobytes())
-    assert h.hexdigest() == "a87c54cd2dcfa39a551289c432cfb6cb555b08f5f76159fa633791b7add54d99"
+    for (levels, width, dtype, variant), digest in PINNED_INIT.items():
+        cfg = NetworkConfig(levels=levels, base_channels=width, dtype=dtype).with_variant(variant)
+        h = hashlib.sha256()
+        for name, p in FudsaNet(cfg, seed=3).named_params():
+            h.update(name.encode())
+            h.update(p.data.tobytes())
+        assert h.hexdigest() == digest, (levels, width, dtype, variant)
 
 
 def test_variant_ii_has_fewer_params():
     full = FudsaNet(small_cfg(), seed=0)
     no_ds = FudsaNet(small_cfg().with_variant("II"), seed=0)
-    _, total_full = full.parameter_summary()
-    _, total_ii = no_ds.parameter_summary()
+    total_full, total_ii = (sum(p.data.size for p in m.params()) for m in (full, no_ds))
     assert 0 < total_ii < total_full
 
 
 def test_parameter_summary_names_unique():
     model = FudsaNet(small_cfg(), seed=0)
-    rows, total = model.parameter_summary()
-    names = [r[0] for r in rows]
-    assert len(names) == len(set(names))
-    assert total == sum(r[2] for r in rows) > 0
+    names = [name for name, _ in model.named_params()]
+    assert len(names) == len(set(names)) == len(model.params()) > 0
 
 
 def test_parameter_count_formula():
@@ -123,13 +130,11 @@ def test_no_dead_branches():
 
 
 def test_variant_i_invariant_to_channel_branch():
-    cfg = small_cfg().with_variant("I")
-    model = FudsaNet(cfg, seed=6)
+    model = FudsaNet(small_cfg().with_variant("I"), seed=6)
     x = T.uniform((1, 1, 32, 32), 0, 1, seed=7)
     base = model(x).final_map.data.copy()
-    for level in range(1, cfg.levels + 1):
-        att = model._decoder_at(level).attention
-        for p in list(att.mlp.params()) + list(att.sdc.params()):
+    for dl in model.decoder:
+        for p in dl.attention.mlp.params() + dl.attention.sdc.params():
             p.data += 0.5
     again = model(x).final_map.data
     assert np.array_equal(base, again)
@@ -142,12 +147,11 @@ def test_variant_ii_empty_side_maps():
 
 
 def test_variant_iii_invariant_to_residual_projections():
-    cfg = small_cfg().with_variant("III")
-    model = FudsaNet(cfg, seed=8)
+    model = FudsaNet(small_cfg().with_variant("III"), seed=8)
     x = T.uniform((1, 1, 32, 32), 0, 1, seed=9)
     base = model(x).final_map.data.copy()
-    for level in range(1, cfg.levels + 1):
-        for conv in model._decoder_at(level).proj:
+    for dl in model.decoder:
+        for conv in dl.proj:
             conv.weight.data += 0.25
             conv.bias.data += 0.25
     again = model(x).final_map.data
@@ -155,11 +159,10 @@ def test_variant_iii_invariant_to_residual_projections():
 
 
 def test_full_model_sensitive_to_residual_projections():
-    cfg = small_cfg()
-    model = FudsaNet(cfg, seed=8)
+    model = FudsaNet(small_cfg(), seed=8)
     x = T.uniform((1, 1, 32, 32), 0, 1, seed=9)
     base = model(x).final_map.data.copy()
-    model._decoder_at(1).proj[0].weight.data += 0.25
+    model.decoder[-1].proj[0].weight.data += 0.25  # level 1's projection of G^2
     assert not np.array_equal(base, model(x).final_map.data)
 
 
@@ -180,11 +183,10 @@ def test_residual_upsamples_stay_narrow():
 
 def test_deep_block_perturbation_reaches_shallow_output():
     # residual path: perturbing the deepest decoder block changes G^1
-    cfg = small_cfg()
-    model = FudsaNet(cfg, seed=10)
+    model = FudsaNet(small_cfg(), seed=10)
     x = T.uniform((1, 1, 32, 32), 0, 1, seed=11)
     base = model(x).decoder_maps[1].data.copy()
-    for p in model._decoder_at(cfg.levels).block.params():
+    for p in model.decoder[0].block.params():
         p.data += 0.1
     assert not np.array_equal(base, model(x).decoder_maps[1].data)
 
@@ -202,6 +204,15 @@ def test_config_validation():
         NetworkConfig(levels=1)
     with pytest.raises(InvalidArgument):
         NetworkConfig(base_channels=0)
+
+
+def test_width_is_bounded_before_allocation():
+    # a 2^42-channel bottleneck would need PiBs; the bound fires before any allocation
+    with pytest.raises(InvalidArgument, match="4398046511104 channels at the bottleneck"):
+        FudsaNet(NetworkConfig(levels=2, base_channels=2 ** 40))
+    with pytest.raises(InvalidArgument, match="1028 channels"):
+        FudsaNet(NetworkConfig(levels=2, base_channels=257))
+    FudsaNet(NetworkConfig(levels=2, base_channels=256), seed=None)  # exactly 1024 is allowed
 
 
 def test_variant_table():
