@@ -49,7 +49,7 @@ def _same_value(raw, keep):
 
 
 def parse_config_text(text):
-    """Flat key=value lines, '#' comments; the keys are the leaf config fields."""
+    """Flat key=value lines, '#' comments; the keys are the config fields."""
     values = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
@@ -77,7 +77,7 @@ def parse_config_text(text):
 
 
 def render_config(net: NetworkConfig, tr: TrainConfig):
-    """config.txt text: every leaf field in field order, booleans as true/false."""
+    """config.txt text: every config field in field order, booleans as true/false."""
     return "".join(f"{name}={str(value).lower() if isinstance(value, bool) else value}\n"
                    for cfg in (net, tr) for name, value in schema.leaf_items(cfg))
 
@@ -142,7 +142,7 @@ def _read_split(root):
 
 
 def cmd_train(args):
-    values = parse_config_text(Path(args.config).read_text()) if args.config else {}
+    values = parse_config_text(D.read_utf8(args.config)) if args.config else {}
     # options named like a config key (--seed, --learning-rate, ...) override it
     values.update((k, v) for k, v in vars(args).items() if k in _KEY_TYPES and v is not None)
     net_cfg, tr_cfg = _build_configs(values)
@@ -168,7 +168,8 @@ def cmd_train(args):
     save_checkpoint(model, AdamState(model.named_params()), out / "best.ckpt")
     save_checkpoint(model, None, out / "final.ckpt")
     (out / "report.csv").write_text(report.csv())
-    (out / "config.txt").write_text(render_config(net_cfg, tr_cfg))  # the seed as given
+    (out / "config.txt").write_text(render_config(net_cfg, tr_cfg),  # the seed as given
+                                    encoding="utf-8")
     print(f"best epoch {report.best_epoch}, best val loss {report.best_val_loss:.6f}")
     return 0
 

@@ -83,13 +83,17 @@ def read_pgm(path):
     w, h, maxval = fields
     if not 0 < maxval < 65536:
         raise InvalidArgument(f"{path}: PGM maxval {maxval} outside 1..65535")
+    if not w or not h:
+        raise InvalidArgument(f"{path}: PGM extents {w}x{h} hold no pixel")
     dtype = np.dtype(">u2") if maxval > 255 else np.dtype("u1")
     need = w * h * dtype.itemsize
     payload = blob[pos:pos + need]
     if len(payload) != need:
         raise InvalidArgument(f"{path}: truncated PGM payload")
-    return np.frombuffer(payload, dtype=dtype).reshape(h, w).astype(
-        np.uint16 if maxval > 255 else np.uint8), maxval
+    a = np.frombuffer(payload, dtype=dtype).reshape(h, w)
+    if a.max() > maxval:
+        raise InvalidArgument(f"{path}: PGM sample {a.max()} above maxval {maxval}")
+    return a.astype(np.uint16 if maxval > 255 else np.uint8), maxval
 
 
 def write_raw_slice(path, hu):
@@ -191,13 +195,22 @@ def write_manifest(path, ids, split: SplitManifest | None = None):
         lines.extend(split.train_ids)
         lines.append("val:")
         lines.extend(split.val_ids)
-    Path(path).write_text("\n".join(lines) + "\n")
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def read_utf8(path):
+    """A text file's contents; bytes that are not UTF-8 are an InvalidArgument naming it."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise InvalidArgument(f"{path}: not UTF-8 text (byte {exc.start})") from None
 
 
 def read_manifest(path):
-    """Returns (ids, split-or-None)."""
+    """Returns (ids, split-or-None).  An id names files under the dataset's
+    directories, so it cannot hold '/' or NUL, or be '.' or '..'."""
     ids, split, seed, section, seen = [], None, None, None, set()
-    for line in Path(path).read_text().splitlines():
+    for line in read_utf8(path).splitlines():
         line = line.strip()
         if not line:
             continue
@@ -213,6 +226,8 @@ def read_manifest(path):
                 raise InvalidArgument(f"{path}: {line!r} comes before the '# split seed=' line")
             section = split.train_ids if line == "train:" else split.val_ids
             continue
+        if "/" in line or "\0" in line or line in (".", ".."):
+            raise InvalidArgument(f"{path}: id {line!r} is not a plain file name")
         listed = ids if section is None else section
         if (id(listed), line) in seen:  # an id may appear once per list
             raise InvalidArgument(f"{path}: id {line!r} is listed twice")

@@ -10,7 +10,7 @@ Ablation variants (structural toggles):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -20,18 +20,11 @@ from .errors import InvalidArgument, ShapeMismatch
 from .layers import Conv2d, ConvBlock, Module
 
 
-@dataclass(frozen=True)
-class VariantFlags:
-    spatial_only: bool = False
-    deep_supervision: bool = True
-    decoder_residuals: bool = True
-
-
-VARIANTS = {
-    "full": VariantFlags(),
-    "I": VariantFlags(spatial_only=True),
-    "II": VariantFlags(deep_supervision=False),
-    "III": VariantFlags(decoder_residuals=False),
+VARIANTS = {  # each ablation -> the NetworkConfig flags it changes
+    "full": {},
+    "I": {"spatial_only": True},
+    "II": {"deep_supervision": False},
+    "III": {"decoder_residuals": False},
 }
 
 
@@ -44,7 +37,9 @@ class NetworkConfig:
     levels: int = 4
     base_channels: int = 16
     dtype: str = "f32"
-    variant: VariantFlags = field(default_factory=VariantFlags)
+    spatial_only: bool = False
+    deep_supervision: bool = True
+    decoder_residuals: bool = True
 
     def __post_init__(self):
         if self.levels < 2:
@@ -68,7 +63,8 @@ class NetworkConfig:
         return np.float64 if self.dtype == "f64" else np.float32
 
     def with_variant(self, name):
-        return replace(self, variant=VARIANTS[name])
+        """This geometry with variant ``name``'s flags; flags it does not change are reset."""
+        return NetworkConfig(self.levels, self.base_channels, self.dtype, **VARIANTS[name])
 
 
 @dataclass
@@ -89,7 +85,7 @@ class _DecoderLevel(Module):
         self.up_conv = Conv2d(2 * c, c, 3, rng, padding=1, dtype=dtype)
         self.attention = AttentionGate(
             level, [cfg.channels_at(i) for i in range(1, level + 1)], rng,
-            spatial_only=cfg.variant.spatial_only, dtype=dtype)
+            spatial_only=cfg.spatial_only, dtype=dtype)
         self.block = ConvBlock(2 * c, c, rng, dtype=dtype)
         # residual projections from every deeper decoder level m > level
         self.proj = [Conv2d(cfg.channels_at(m), c, 1, rng, dtype=dtype)
@@ -121,7 +117,7 @@ class FudsaNet(Module):
         self.decoder = [_DecoderLevel(cfg, level, rng, dtype)
                         for level in range(cfg.levels, 0, -1)]
         self.final_head = Conv2d(cfg.base_channels, 1, 1, rng, dtype=dtype)
-        if cfg.variant.deep_supervision:
+        if cfg.deep_supervision:
             self.side_heads = [Conv2d(cfg.channels_at(level), 1, 1, rng, dtype=dtype)
                                for level in range(2, cfg.levels + 1)]
 
@@ -144,7 +140,7 @@ class FudsaNet(Module):
             res = dl.attention(enc_maps[:level], g_next)
             attn[level] = res
             g = dl.block(T.concat_channels([res.gated, u]))
-            if cfg.variant.decoder_residuals:
+            if cfg.decoder_residuals:
                 # project G^m at its own resolution, then upsample c channels: 1x1 conv
                 # and resampling commute, so the wide map never exists at this size
                 for conv, m in zip(dl.proj, range(level + 1, cfg.levels + 1)):
@@ -154,7 +150,7 @@ class FudsaNet(Module):
 
         final = T.sigmoid(self.final_head(dec_maps[1]))
         sides = []
-        if cfg.variant.deep_supervision:
+        if cfg.deep_supervision:
             for head, level in zip(self.side_heads, range(2, cfg.levels + 1)):
                 p = T.sigmoid(head(dec_maps[level]))
                 sides.append(T.upsample(p, 1 << (level - 1)))

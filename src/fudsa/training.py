@@ -5,7 +5,8 @@ from __future__ import annotations
 import math
 import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -23,7 +24,7 @@ class TrainConfig:
     max_epochs: int = 300
     patience: int = 10
     seed: int = 0
-    loss: LossConfig = field(default_factory=LossConfig)
+    loss: ClassVar[LossConfig] = LossConfig()  # the paper's one loss: not a config key
 
     def __post_init__(self):
         if not 0 < self.learning_rate < math.inf:
@@ -202,7 +203,7 @@ _CKPT_MAGIC = b"FUD1"
 
 
 def _config_entries(cfg: NetworkConfig):
-    """cfg/ entries: the leaf fields in field order, dtype as the flag f64."""
+    """cfg/ entries: the config fields in field order, dtype as the flag f64."""
     entries = {}
     for name, value in schema.leaf_items(cfg):
         if name == "dtype":

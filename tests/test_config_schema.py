@@ -1,7 +1,8 @@
 """One config schema: config.txt and the checkpoint's cfg/ entries follow the
 config dataclasses.  Golden digests pin the bytes written; they last moved
-when the retired options' lines and entries were dropped, and nothing else
-changed.  Files written before that still load (tests/legacy/)."""
+when the retired options' lines and entries were dropped (the loss keys'
+lines most recently), and nothing else changed.  Files written before that
+still load (tests/legacy/)."""
 
 import hashlib
 import io
@@ -15,8 +16,7 @@ from hypothesis import given, settings, strategies as st
 from fudsa import cli, schema
 from fudsa import data as D
 from fudsa import tensor as T
-from fudsa.losses import LossConfig
-from fudsa.network import FudsaNet, NetworkConfig, VARIANTS, VariantFlags
+from fudsa.network import FudsaNet, NetworkConfig
 from fudsa.training import (AdamState, TrainConfig, adam_step, load_checkpoint,
                             save_checkpoint)
 
@@ -27,22 +27,21 @@ def sha256(data):
     return hashlib.sha256(data).hexdigest()
 
 
-F64_NET = NetworkConfig(levels=3, base_channels=4, dtype="f64", variant=VARIANTS["I"])
-CUSTOM_TRAIN = TrainConfig(learning_rate=3e-4, batch_size=2, max_epochs=7, patience=2, seed=11,
-                           loss=LossConfig(alpha=0.6, beta=0.4, gamma=1.5, smooth=1e-5))
+F64_NET = NetworkConfig(levels=3, base_channels=4, dtype="f64").with_variant("I")
+CUSTOM_TRAIN = TrainConfig(learning_rate=3e-4, batch_size=2, max_epochs=7, patience=2, seed=11)
 
 
 def test_render_config_golden_digests():
     assert sha256(cli.render_config(NetworkConfig(), TrainConfig()).encode()) == \
-        "939170aa9b3fe9f84d217513c189c6b410b423d718c313d83ad614010bde50cb"
+        "44eebd943457be88932f6b2e95c22da442c9b2f9dbf5a9589255f9620cb80d03"
     assert sha256(cli.render_config(F64_NET, CUSTOM_TRAIN).encode()) == \
-        "49ee7b8b1a4e2c14730603e91554b2d22a4a6ef6b2fe870acb2e8bbd334eeba0"
+        "af2fb1c9b31cb9a43d179279cf8828ae719c6c350c40f6dbcc09067f9e9d9d7f"
 
 
 def test_checkpoint_golden_digests(tmp_path):
     path = tmp_path / "a.ckpt"
-    save_checkpoint(FudsaNet(NetworkConfig(levels=2, base_channels=4, variant=VARIANTS["II"]),
-                             seed=3), None, path)
+    net = NetworkConfig(levels=2, base_channels=4).with_variant("II")
+    save_checkpoint(FudsaNet(net, seed=3), None, path)
     assert sha256(path.read_bytes()) == \
         "665d5bb9f87bb6d58af4baedf669f1b3ca3980ea2044a158b00d871b6654f9e7"
 
@@ -64,19 +63,15 @@ network_configs = st.builds(
     levels=st.integers(2, 4),
     base_channels=st.integers(1, 3),
     dtype=st.sampled_from(["f32", "f64"]),
-    variant=st.builds(VariantFlags, st.booleans(), st.booleans(), st.booleans()))
-
-
-@st.composite
-def loss_configs(draw):
-    alpha = draw(st.floats(0.0, 1.0))
-    return LossConfig(alpha=alpha, beta=1.0 - alpha, gamma=draw(positive), smooth=draw(positive))
+    spatial_only=st.booleans(),
+    deep_supervision=st.booleans(),
+    decoder_residuals=st.booleans())
 
 
 train_configs = st.builds(
     TrainConfig, learning_rate=positive, batch_size=st.integers(1, 64),
     max_epochs=st.integers(1, 1000), patience=st.integers(1, 100),
-    seed=st.integers(0, 2**31), loss=loss_configs())
+    seed=st.integers(0, 2**31))
 
 
 @given(network_configs, train_configs)
@@ -116,7 +111,7 @@ LEGACY_NET = NetworkConfig(levels=2, base_channels=1)
 def test_legacy_config_txt_loads():
     old = (LEGACY / "config.txt").read_text()
     retired = [f"{key}={keep}\n" for key, (keep, _, _) in schema.RETIRED.items() if keep]
-    assert len(retired) == 6 and all(line in old for line in retired)
+    assert len(retired) == 10 and all(line in old for line in retired)
     net, tr = cli._build_configs(cli.parse_config_text(old))
     assert (net, tr) == (LEGACY_NET, TrainConfig(batch_size=2, max_epochs=1))
     assert cli.render_config(net, tr) == "".join(

@@ -1,11 +1,14 @@
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fudsa import data as D
 from fudsa import tensor as T
-from fudsa.errors import InvalidArgument, InvalidLabel
+from fudsa.errors import FudsaError, InvalidArgument, InvalidLabel
 
 
 # ---------------------------------------------------------------------------
@@ -156,6 +159,43 @@ def test_manifest_rejects_an_id_listed_twice(tmp_path, text):
         D.read_manifest(path)
 
 
+@pytest.mark.parametrize("line", ["../x", "a/b", "/abs", ".", "..", "a\0b"])
+def test_manifest_rejects_an_id_that_is_not_a_file_name(tmp_path, line):
+    # an id names <root>/images/<id>.pgm: "../x" once read and wrote outside the dataset
+    path = tmp_path / "manifest.txt"
+    path.write_text("a\n" + line + "\n")
+    with pytest.raises(InvalidArgument, match="is not a plain file name"):
+        D.read_manifest(path)
+
+
+def test_manifest_not_utf8_names_the_file(tmp_path):
+    path = tmp_path / "manifest.txt"
+    path.write_bytes(b"a\n\xff\xfe\n")
+    with pytest.raises(InvalidArgument, match="manifest.txt: not UTF-8 text"):
+        D.read_manifest(path)
+
+
+MANIFEST_PIECES = [b"a", b"b", b"/", b".", b"..", b"\x00", b"#", b" ", b"train:", b"val:",
+                   b"# split seed=3", b"\xff", b"\xc3", b"\xc3\xa9"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.lists(st.sampled_from(MANIFEST_PIECES), max_size=4).map(b"".join),
+                max_size=8))
+def test_manifest_lines_parse_to_plain_ids_or_raise(lines):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "manifest.txt"
+        path.write_bytes(b"\n".join(lines))
+        try:
+            ids, split = D.read_manifest(path)
+        except FudsaError:
+            return
+    for ident in ids + (split.train_ids + split.val_ids if split else []):
+        assert ident and ident == ident.strip() and not ident.startswith("#")
+        assert ident not in (".", "..", "train:", "val:")
+        assert "/" not in ident and "\0" not in ident
+
+
 def test_manifest_without_split(tmp_path):
     path = tmp_path / "manifest.txt"
     D.write_manifest(path, ["a", "b"])
@@ -210,11 +250,52 @@ def test_pgm_rejects_truncation_and_bad_magic(tmp_path):
     b"P5",                       # empty header
     b"P52 2\n255\n\x00\x00\x00\x00",  # no whitespace after the magic
     b"P5\n2 2\n0\n\x00\x00\x00\x00",  # maxval out of range
+    b"P5\n0 2\n255\n",           # no pixel: write_pgm cannot write it back
 ])
 def test_pgm_rejects_malformed_header(tmp_path, blob):
     (tmp_path / "h.pgm").write_bytes(blob)
     with pytest.raises(InvalidArgument):
         D.read_pgm(tmp_path / "h.pgm")
+
+
+@pytest.mark.parametrize("blob", [
+    b"P5 2 1 100\n\x00\xff",       # an 8-bit sample above a maxval below 255
+    b"P5 1 1 1\n\xff",              # a mask with maxval 1 holding 255
+    b"P5 1 1 1000\n\x03\xe9",       # a 16-bit sample of 1001
+])
+def test_pgm_rejects_samples_above_maxval(tmp_path, blob):
+    # read_image01 once scaled such samples to values above 1
+    (tmp_path / "x.pgm").write_bytes(blob)
+    with pytest.raises(InvalidArgument, match="above maxval"):
+        D.read_image01(tmp_path / "x.pgm")
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_pgm_damaged_bytes_read_back_or_raise(data):
+    maxval = data.draw(st.sampled_from([255, 65535]))
+    shape = (data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4)))
+    a = np.random.default_rng(data.draw(st.integers(0, 99))).integers(0, maxval + 1, shape)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "x.pgm"
+        D.write_pgm(path, a, maxval)
+        blob = bytearray(path.read_bytes())
+        if data.draw(st.booleans()):
+            del blob[data.draw(st.integers(0, len(blob) - 1)):]
+        else:
+            for _ in range(data.draw(st.integers(1, 3))):
+                blob[data.draw(st.integers(0, len(blob) - 1))] = data.draw(
+                    st.one_of(st.integers(0, 255), st.sampled_from(b"0123456789 \n#")))
+        path.write_bytes(blob)
+        try:
+            got, got_max = D.read_pgm(path)
+        except FudsaError:
+            return
+        assert 0 < got_max < 65536 and got.max() <= got_max
+        if got_max in (255, 65535):  # the maxvals write_pgm takes
+            D.write_pgm(path, got, got_max)
+            again, again_max = D.read_pgm(path)
+            assert again_max == got_max and np.array_equal(again, got)
 
 
 def test_raw_slice_roundtrip_preserves_negative_hu(tmp_path):

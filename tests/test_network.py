@@ -216,10 +216,11 @@ def test_width_is_bounded_before_allocation():
 
 
 def test_variant_table():
-    assert set(VARIANTS) == {"full", "I", "II", "III"}
-    assert VARIANTS["I"].spatial_only
-    assert not VARIANTS["II"].deep_supervision
-    assert not VARIANTS["III"].decoder_residuals
-    full = VARIANTS["full"]
+    assert VARIANTS == {"full": {}, "I": {"spatial_only": True},
+                        "II": {"deep_supervision": False}, "III": {"decoder_residuals": False}}
+    full = NetworkConfig()
     assert (full.spatial_only, full.deep_supervision, full.decoder_residuals) == \
         (False, True, True)
+    # a variant sets every flag: the ones it does not name go back to the full model's
+    cfg = NetworkConfig(levels=3, dtype="f64", spatial_only=True).with_variant("II")
+    assert cfg == NetworkConfig(levels=3, dtype="f64", deep_supervision=False)

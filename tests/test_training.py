@@ -20,7 +20,7 @@ SMALL = NetworkConfig(levels=2, base_channels=4)
 
 def small_model(seed=0, variant="full", dtype="f32"):
     return FudsaNet(NetworkConfig(levels=2, base_channels=4, dtype=dtype,
-                                  variant=VARIANTS[variant]), seed=seed)
+                                  **VARIANTS[variant]), seed=seed)
 
 
 def tiny_pairs(n, size=16, base_seed=50):
@@ -328,7 +328,7 @@ def test_checkpoint_save_load_save_byte_identical(tmp_path):
 
 
 def test_checkpoint_preserves_variant_config(tmp_path):
-    cfg = NetworkConfig(levels=3, base_channels=4, variant=VARIANTS["II"])
+    cfg = NetworkConfig(levels=3, base_channels=4, **VARIANTS["II"])
     model = FudsaNet(cfg, seed=4)
     path = tmp_path / "v.ckpt"
     save_checkpoint(model, None, path)
