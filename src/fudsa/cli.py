@@ -13,13 +13,12 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import data as D
-from . import schema
 from . import tensor as T
 from .errors import FudsaError, InvalidArgument, NumericalDivergence
 from .losses import METRICS_CSV_HEADER, metrics_csv_row
@@ -27,11 +26,19 @@ from .network import FudsaNet, NetworkConfig, VARIANTS
 from .training import (MASK_THRESHOLD, AdamState, TrainConfig, evaluate, gradient_check,
                        load_checkpoint, save_checkpoint, train)
 
-_KEY_TYPES = {**schema.leaf_types(NetworkConfig), **schema.leaf_types(TrainConfig)}
+# config.txt keys are the config fields, in field order; each parses as its default's type
+_KEY_TYPES = {f.name: type(f.default) for f in fields(NetworkConfig) + fields(TrainConfig)}
+
+# retired option -> the config.txt text that remains (None: never written); files written
+# before the removal load, and any other value is an error
+RETIRED = {"upsample_mode": "bilinear", "channel_branch_includes_sl": "false",
+           "side_weights": None, "input_channels": "1", "reduction": "4",
+           "sdc_dilations": "1,2,4", "min_delta": "1e-05", "alpha": "0.7", "beta": "0.3",
+           "gamma": "1.3333333333333333", "smooth": "1e-06"}
 
 
 def _parse_value(kind, raw):
-    """One config.txt value of the annotated type; ValueError if it does not parse."""
+    """One config.txt value of the field's type; ValueError if it does not parse."""
     if kind is bool:
         if raw not in ("true", "false"):
             raise ValueError("expected true or false")
@@ -59,8 +66,8 @@ def parse_config_text(text):
             raise InvalidArgument(f"config line {lineno}: expected key=value, got {line!r}")
         key, _, raw = line.partition("=")
         key, raw = key.strip(), raw.strip()
-        if key in schema.RETIRED:  # skipped if it holds the value that remains
-            keep = schema.RETIRED[key][0]
+        if key in RETIRED:  # skipped if it holds the value that remains
+            keep = RETIRED[key]
             if keep is None or not _same_value(raw, keep):
                 raise InvalidArgument(f"config line {lineno}: {key} is a retired option"
                                       + (f"; only {key}={keep} is accepted" if keep else ""))
@@ -79,11 +86,13 @@ def parse_config_text(text):
 def render_config(net: NetworkConfig, tr: TrainConfig):
     """config.txt text: every config field in field order, booleans as true/false."""
     return "".join(f"{name}={str(value).lower() if isinstance(value, bool) else value}\n"
-                   for cfg in (net, tr) for name, value in schema.leaf_items(cfg))
+                   for cfg in (net, tr) for name, value in asdict(cfg).items())
 
 
 def _build_configs(values):
-    return schema.build(NetworkConfig, values), schema.build(TrainConfig, values)
+    """The two configs from {key: value}; missing keys keep the dataclass defaults."""
+    return tuple(cls(**{f.name: values[f.name] for f in fields(cls) if f.name in values})
+                 for cls in (NetworkConfig, TrainConfig))
 
 
 # ---------------------------------------------------------------------------
@@ -143,7 +152,6 @@ def _read_split(root):
 
 def cmd_train(args):
     values = parse_config_text(D.read_utf8(args.config)) if args.config else {}
-    # options named like a config key (--seed, --learning-rate, ...) override it
     values.update((k, v) for k, v in vars(args).items() if k in _KEY_TYPES and v is not None)
     net_cfg, tr_cfg = _build_configs(values)
     if args.variant:
@@ -271,11 +279,8 @@ def build_parser():
     p.add_argument("--config")
     p.add_argument("--out", required=True)
     p.add_argument("--variant", choices=sorted(VARIANTS))
-    p.add_argument("--seed", type=int)
-    p.add_argument("--learning-rate", type=float)
-    p.add_argument("--max-epochs", type=int)
-    p.add_argument("--batch-size", type=int)
-    p.add_argument("--patience", type=int)
+    for f in fields(TrainConfig):  # --learning-rate, ..., --seed: override the config key
+        p.add_argument("--" + f.name.replace("_", "-"), type=_KEY_TYPES[f.name])
     p.add_argument("--verbose", action="store_true")
     p.set_defaults(fn=cmd_train)
 

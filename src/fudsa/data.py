@@ -199,11 +199,13 @@ def write_manifest(path, ids, split: SplitManifest | None = None):
 
 
 def read_utf8(path):
-    """A text file's contents; bytes that are not UTF-8 are an InvalidArgument naming it."""
+    """A text file's contents less a leading byte-order mark; bytes that are not UTF-8
+    are an InvalidArgument naming it."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise InvalidArgument(f"{path}: not UTF-8 text (byte {exc.start})") from None
+    return text.removeprefix("\ufeff")  # not utf-8-sig: its error offsets skip the mark
 
 
 def read_manifest(path):

@@ -23,7 +23,7 @@ from .errors import InvalidArgument, InvalidShape, ShapeMismatch
 
 __all__ = [
     "Tensor", "Tape", "backward",
-    "zeros", "constant", "uniform", "he_normal", "from_array",
+    "zeros", "constant", "he_normal", "from_array",
     "add", "sub", "mul", "div", "scale", "add_scalar", "rsub_scalar", "power",
     "conv2d", "max_pool2", "global_avg_pool", "upsample", "relu", "sigmoid",
     "dense", "concat_channels", "tsum",
@@ -143,14 +143,6 @@ def zeros(shape, dtype=np.float32, requires_grad=False):
 
 def constant(shape, value, dtype=np.float32, requires_grad=False):
     return Tensor(np.full(_check_shape(shape), value, dtype=dtype), requires_grad=requires_grad)
-
-
-def uniform(shape, lo, hi, seed, dtype=np.float32, requires_grad=False):
-    if not lo < hi:
-        raise InvalidArgument(f"uniform needs lo < hi, got [{lo}, {hi})")
-    rng = np.random.default_rng(seed)
-    data = rng.uniform(lo, hi, _check_shape(shape)).astype(dtype)
-    return Tensor(data, requires_grad=requires_grad)
 
 
 def he_normal(shape, fan_in, seed, dtype=np.float32, requires_grad=False):

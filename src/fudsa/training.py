@@ -5,12 +5,11 @@ from __future__ import annotations
 import math
 import os
 import struct
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import ClassVar
 
 import numpy as np
 
-from . import schema
 from . import tensor as T
 from .errors import CorruptCheckpoint, InvalidArgument, InvalidState, NumericalDivergence
 from .losses import LossConfig, MetricsRecord, confusion_counts, supervised_loss
@@ -202,10 +201,16 @@ def train(model: FudsaNet, train_set, val_set, cfg: TrainConfig,
 _CKPT_MAGIC = b"FUD1"
 
 
+# cfg/ entries of retired options -> the value that remains: checkpoints written before
+# the removal load, and any other value is corrupt
+RETIRED_ENTRIES = {"cfg/upsample_bilinear": 1.0, "cfg/channel_branch_includes_sl": 0.0,
+                   "cfg/input_channels": 1, "cfg/reduction": 4, "cfg/sdc_dilations": (1, 2, 4)}
+
+
 def _config_entries(cfg: NetworkConfig):
     """cfg/ entries: the config fields in field order, dtype as the flag f64."""
     entries = {}
-    for name, value in schema.leaf_items(cfg):
+    for name, value in asdict(cfg).items():
         if name == "dtype":
             name, value = "f64", value == "f64"
         entries[f"cfg/{name}"] = np.full((1, 1, 1, 1), float(value), dtype=np.float64)
@@ -213,18 +218,14 @@ def _config_entries(cfg: NetworkConfig):
 
 
 def _config_from_entries(entries):
-    for option, (_, entry, keep) in schema.RETIRED.items():
+    for entry, keep in RETIRED_ENTRIES.items():
         held = entries[entry].reshape(-1) if entry in entries else None
         if held is not None and not np.array_equal(held, np.reshape(keep, -1)):  # every element
-            raise CorruptCheckpoint(f"{entry} holds {','.join(map(str, held))}, but {option} "
+            raise CorruptCheckpoint(f"{entry} holds {','.join(map(str, held))}, but the entry "
                                     f"is retired and only {keep} loads")
-    values = {}
-    for name, kind in schema.leaf_types(NetworkConfig).items():
-        if name == "dtype":
-            values[name] = "f64" if entries["cfg/f64"].reshape(-1)[0] else "f32"
-        else:
-            values[name] = _entry_value(kind, entries[f"cfg/{name}"].reshape(-1)[0])
-    return schema.build(NetworkConfig, values)
+    values = {f.name: _entry_value(type(f.default), entries[f"cfg/{f.name}"].reshape(-1)[0])
+              for f in fields(NetworkConfig) if f.name != "dtype"}
+    return NetworkConfig(**values, dtype="f64" if entries["cfg/f64"].reshape(-1)[0] else "f32")
 
 
 def _entry_value(kind, v):

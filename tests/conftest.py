@@ -2,11 +2,20 @@ import numpy as np
 import pytest
 
 from fudsa import tensor as T
+from fudsa.errors import InvalidArgument
 
 
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
+
+
+def uniform(shape, lo, hi, seed, dtype=np.float32, requires_grad=False):
+    """A seeded tensor of values drawn uniformly from [lo, hi)."""
+    if not lo < hi:
+        raise InvalidArgument(f"uniform needs lo < hi, got [{lo}, {hi})")
+    data = np.random.default_rng(seed).uniform(lo, hi, shape).astype(dtype)
+    return T.Tensor(data, requires_grad=requires_grad)
 
 
 def finite_diff(f, tensor, coords, h):

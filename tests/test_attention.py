@@ -5,7 +5,7 @@ from fudsa import tensor as T
 from fudsa.attention import AttentionGate
 from fudsa.errors import ShapeMismatch
 
-from conftest import check_grads
+from conftest import check_grads, uniform
 
 
 def make_gate(level=2, base=4, seed=0, dtype=np.float64, **kw):
@@ -29,7 +29,7 @@ def make_inputs(level=2, base=4, n=1, h=4, seed=1, dtype=np.float64):
 
 def test_reduce_decoder_shape_and_projection():
     gate, _ = make_gate(level=2, base=8)
-    g = T.uniform((1, 32, 8, 8), -1, 1, seed=0, dtype=np.float64)
+    g = uniform((1, 32, 8, 8), -1, 1, seed=0, dtype=np.float64)
     d = gate.reduce(g)
     assert d.shape == (1, 16, 8, 8)
     # kernel [I | 0] selects the first C channels
@@ -43,7 +43,7 @@ def test_reduce_decoder_shape_and_projection():
 
 def test_reduce_decoder_matches_1x1_loop_oracle():
     gate, _ = make_gate(level=1, base=3)
-    g = T.uniform((2, 6, 4, 4), -1, 1, seed=3, dtype=np.float64)
+    g = uniform((2, 6, 4, 4), -1, 1, seed=3, dtype=np.float64)
     d = gate.reduce(g).data
     w = gate.reduce.weight.data
     b = gate.reduce.bias.data

@@ -13,9 +13,10 @@ from pathlib import Path
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from fudsa import cli, schema
+from fudsa import cli
 from fudsa import data as D
 from fudsa import tensor as T
+from fudsa.errors import FudsaError
 from fudsa.network import FudsaNet, NetworkConfig
 from fudsa.training import (AdamState, TrainConfig, adam_step, load_checkpoint,
                             save_checkpoint)
@@ -79,6 +80,34 @@ def test_config_survives_render_parse_build(net, tr):
     assert cli._build_configs(cli.parse_config_text(cli.render_config(net, tr))) == (net, tr)
 
 
+# values of each field's type, good and bad; odd tails that a value may carry
+TYPED_VALUES = {int: ["2", "3", "16", " 01", "1_0", "\u0663", "\uff12", "-1", "0"],
+                float: ["2e-4", "0.7", "4.0", "5e-324", "nan", "inf", "1e400"],
+                bool: ["true", "false"], str: ["f32", "f64"]}
+ODD_TAILS = ["=", "#", "\0", "\ufeff", " ", ",", "1,2,4", "x"]
+
+
+def config_line(key):
+    """key=value, the value of the key's type (a retired key's: the one that remains)."""
+    keep = cli.RETIRED.get(key)
+    values = [keep] if keep else TYPED_VALUES.get(cli._KEY_TYPES.get(key), ["1"])
+    tail = st.one_of(st.just(""), st.sampled_from(ODD_TAILS))
+    return st.tuples(st.sampled_from(values), tail).map(lambda v: f"{key}={''.join(v)}")
+
+
+CONFIG_KEYS = [*cli._KEY_TYPES, *cli.RETIRED, "momentum", "\ufefflevels", ""]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(CONFIG_KEYS).flatmap(config_line), max_size=4))
+def test_config_lines_build_configs_that_round_trip_or_raise(lines):
+    try:
+        net, tr = cli._build_configs(cli.parse_config_text("\n".join(lines)))
+    except FudsaError:
+        return
+    assert cli._build_configs(cli.parse_config_text(cli.render_config(net, tr))) == (net, tr)
+
+
 @settings(max_examples=25, deadline=None)
 @given(network_configs)
 def test_network_config_survives_save_load(net):
@@ -90,7 +119,8 @@ def test_network_config_survives_save_load(net):
 
 
 # ---------------------------------------------------------------------------
-# files written before the options of schema.RETIRED were retired
+# files written before the options of cli.RETIRED (config.txt keys) and
+# training.RETIRED_ENTRIES (FUD1 cfg/ entries) were retired
 # (tests/legacy/README.md says how they were made)
 
 def fud1_entries(blob):
@@ -110,7 +140,7 @@ LEGACY_NET = NetworkConfig(levels=2, base_channels=1)
 
 def test_legacy_config_txt_loads():
     old = (LEGACY / "config.txt").read_text()
-    retired = [f"{key}={keep}\n" for key, (keep, _, _) in schema.RETIRED.items() if keep]
+    retired = [f"{key}={keep}\n" for key, keep in cli.RETIRED.items() if keep]
     assert len(retired) == 10 and all(line in old for line in retired)
     net, tr = cli._build_configs(cli.parse_config_text(old))
     assert (net, tr) == (LEGACY_NET, TrainConfig(batch_size=2, max_epochs=1))

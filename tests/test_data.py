@@ -175,6 +175,13 @@ def test_manifest_not_utf8_names_the_file(tmp_path):
         D.read_manifest(path)
 
 
+def test_manifest_starting_with_a_byte_order_mark_reads_plain_ids(tmp_path):
+    # the mark once read as part of the first id, '\ufeffa'
+    path = tmp_path / "manifest.txt"
+    path.write_bytes(b"\xef\xbb\xbfa\nb\n")
+    assert D.read_manifest(path) == (["a", "b"], None)
+
+
 MANIFEST_PIECES = [b"a", b"b", b"/", b".", b"..", b"\x00", b"#", b" ", b"train:", b"val:",
                    b"# split seed=3", b"\xff", b"\xc3", b"\xc3\xa9"]
 

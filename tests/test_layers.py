@@ -5,7 +5,7 @@ from fudsa import tensor as T
 from fudsa.errors import ShapeMismatch
 from fudsa.layers import Conv2d, ConvBlock, Dense, MatchChain, MlpHead, SdcBlock
 
-from conftest import check_grads
+from conftest import check_grads, uniform
 
 
 def rng64(seed=0):
@@ -14,7 +14,7 @@ def rng64(seed=0):
 
 def test_conv_block_shape_and_nonneg():
     block = ConvBlock(1, 8, rng64(), dtype=np.float64)
-    x = T.uniform((1, 1, 16, 16), -1, 1, seed=1, dtype=np.float64)
+    x = uniform((1, 1, 16, 16), -1, 1, seed=1, dtype=np.float64)
     out = block(x)
     assert out.shape == (1, 8, 16, 16)
     assert out.data.min() >= 0.0
@@ -24,7 +24,7 @@ def test_conv_block_zero_params():
     block = ConvBlock(1, 4, rng64())
     for p in block.params():
         p.data[...] = 0.0
-    out = block(T.uniform((1, 1, 8, 8), -1, 1, seed=2))
+    out = block(uniform((1, 1, 8, 8), -1, 1, seed=2))
     assert np.all(out.data == 0.0)
 
 
@@ -42,7 +42,7 @@ def test_conv_block_preserves_spatial_extents():
 
 def test_conv_block_param_gradients():
     block = ConvBlock(1, 3, rng64(), dtype=np.float64)
-    x = T.uniform((1, 1, 8, 8), 0.1, 1, seed=3, dtype=np.float64)
+    x = uniform((1, 1, 8, 8), 0.1, 1, seed=3, dtype=np.float64)
     check_grads(lambda: T.tsum(block(x)), block.params(), tol=1e-5)
 
 
@@ -51,13 +51,13 @@ def test_conv_block_param_gradients():
 
 def test_match_chain_one_hop():
     chain = MatchChain(4, 4, 1, rng64())
-    out = chain(T.uniform((1, 4, 16, 16), -1, 1, seed=0))
+    out = chain(uniform((1, 4, 16, 16), -1, 1, seed=0))
     assert out.shape == (1, 4, 8, 8)
 
 
 def test_match_chain_three_hops_widens_last():
     chain = MatchChain(2, 8, 3, rng64())
-    out = chain(T.uniform((1, 2, 32, 32), -1, 1, seed=0))
+    out = chain(uniform((1, 2, 32, 32), -1, 1, seed=0))
     assert out.shape == (1, 8, 4, 4)
     # intermediate hops preserve the source channel count
     assert chain.convs[0].weight.shape == (2, 2, 2, 2)
@@ -74,7 +74,7 @@ def test_match_chain_identity_kernels_subsample():
         conv.bias.data[...] = 0.0
         for c in range(3):
             conv.weight.data[c, c, 0, 0] = 1.0
-    x = T.uniform((1, 3, 16, 16), -1, 1, seed=5)
+    x = uniform((1, 3, 16, 16), -1, 1, seed=5)
     out = chain(x)
     assert np.array_equal(out.data, x.data[:, :, ::4, ::4])
 
@@ -95,7 +95,7 @@ def test_match_chain_shapes_exhaustive_l4():
 
 def test_match_chain_grad():
     chain = MatchChain(2, 4, 2, rng64(), dtype=np.float64)
-    x = T.uniform((1, 2, 8, 8), -1, 1, seed=6, dtype=np.float64)
+    x = uniform((1, 2, 8, 8), -1, 1, seed=6, dtype=np.float64)
     check_grads(lambda: T.tsum(T.mul(chain(x), chain(x))), chain.params(), tol=1e-5)
 
 
@@ -104,7 +104,7 @@ def test_match_chain_grad():
 
 def test_sdc_preserves_shape():
     block = SdcBlock(8, rng64())
-    out = block(T.uniform((1, 8, 16, 16), -1, 1, seed=0))
+    out = block(uniform((1, 8, 16, 16), -1, 1, seed=0))
     assert out.shape == (1, 8, 16, 16)
 
 
@@ -112,7 +112,7 @@ def test_sdc_zero_weights():
     block = SdcBlock(4, rng64())
     for p in block.params():
         p.data[...] = 0.0
-    out = block(T.uniform((1, 4, 8, 8), -1, 1, seed=0))
+    out = block(uniform((1, 4, 8, 8), -1, 1, seed=0))
     assert np.all(out.data == 0.0)
 
 
@@ -144,7 +144,7 @@ def test_mlp_zero_params_give_half():
     head = MlpHead(8, rng64())
     for p in head.params():
         p.data[...] = 0.0
-    out = head(T.uniform((2, 8, 1, 1), -1, 1, seed=0))
+    out = head(uniform((2, 8, 1, 1), -1, 1, seed=0))
     assert np.all(out.data == 0.5)
 
 
@@ -157,7 +157,7 @@ def test_mlp_hidden_width():
 
 def test_mlp_output_in_open_interval():
     head = MlpHead(6, rng64(9))
-    out = head(T.uniform((4, 6, 1, 1), -3, 3, seed=1))
+    out = head(uniform((4, 6, 1, 1), -3, 3, seed=1))
     assert out.data.min() > 0.0
     assert out.data.max() < 1.0
 
@@ -170,7 +170,7 @@ def test_mlp_rejects_spatial():
 
 def test_mlp_grad():
     head = MlpHead(4, rng64(), dtype=np.float64)
-    x = T.uniform((2, 4, 1, 1), -1, 1, seed=2, dtype=np.float64)
+    x = uniform((2, 4, 1, 1), -1, 1, seed=2, dtype=np.float64)
     check_grads(lambda: T.tsum(head(x)), head.params(), tol=1e-5)
 
 

@@ -8,6 +8,8 @@ from fudsa.errors import InvalidArgument, ShapeMismatch
 from fudsa.losses import LossConfig, supervised_loss
 from fudsa.network import FudsaNet, NetworkConfig, VARIANTS
 
+from conftest import uniform
+
 
 def small_cfg(**kw):
     kw.setdefault("levels", 3)
@@ -75,7 +77,7 @@ def test_parameter_count_formula():
 
 def test_forward_shapes_and_side_maps():
     model = FudsaNet(NetworkConfig(levels=4, base_channels=4), seed=0)
-    out = model(T.uniform((1, 1, 64, 64), 0, 1, seed=1))
+    out = model(uniform((1, 1, 64, 64), 0, 1, seed=1))
     assert out.final_map.shape == (1, 1, 64, 64)
     assert len(out.side_maps) == 3
     for s in out.side_maps:
@@ -96,7 +98,7 @@ def test_dimension_algebra_contract():
         for hw in (32, 64):
             cfg = NetworkConfig(levels=levels, base_channels=2)
             model = FudsaNet(cfg, seed=0)
-            out = model(T.uniform((1, 1, hw, hw), 0, 1, seed=2))
+            out = model(uniform((1, 1, hw, hw), 0, 1, seed=2))
             for l in range(1, levels + 1):
                 c = cfg.channels_at(l)
                 res = out.attn[l]
@@ -116,7 +118,7 @@ def test_dimension_algebra_contract():
 def test_no_dead_branches():
     # with a loss over all heads, nearly every parameter receives gradient
     model = FudsaNet(small_cfg(), seed=3)
-    x = T.uniform((1, 1, 32, 32), 0, 1, seed=4)
+    x = uniform((1, 1, 32, 32), 0, 1, seed=4)
     y = T.Tensor((np.random.default_rng(5).uniform(0, 1, (1, 1, 32, 32)) > 0.8)
                  .astype(np.float32))
     with T.Tape() as tape:
@@ -131,7 +133,7 @@ def test_no_dead_branches():
 
 def test_variant_i_invariant_to_channel_branch():
     model = FudsaNet(small_cfg().with_variant("I"), seed=6)
-    x = T.uniform((1, 1, 32, 32), 0, 1, seed=7)
+    x = uniform((1, 1, 32, 32), 0, 1, seed=7)
     base = model(x).final_map.data.copy()
     for dl in model.decoder:
         for p in dl.attention.mlp.params() + dl.attention.sdc.params():
@@ -142,13 +144,13 @@ def test_variant_i_invariant_to_channel_branch():
 
 def test_variant_ii_empty_side_maps():
     model = FudsaNet(small_cfg().with_variant("II"), seed=0)
-    out = model(T.uniform((1, 1, 32, 32), 0, 1, seed=1))
+    out = model(uniform((1, 1, 32, 32), 0, 1, seed=1))
     assert out.side_maps == []
 
 
 def test_variant_iii_invariant_to_residual_projections():
     model = FudsaNet(small_cfg().with_variant("III"), seed=8)
-    x = T.uniform((1, 1, 32, 32), 0, 1, seed=9)
+    x = uniform((1, 1, 32, 32), 0, 1, seed=9)
     base = model(x).final_map.data.copy()
     for dl in model.decoder:
         for conv in dl.proj:
@@ -160,7 +162,7 @@ def test_variant_iii_invariant_to_residual_projections():
 
 def test_full_model_sensitive_to_residual_projections():
     model = FudsaNet(small_cfg(), seed=8)
-    x = T.uniform((1, 1, 32, 32), 0, 1, seed=9)
+    x = uniform((1, 1, 32, 32), 0, 1, seed=9)
     base = model(x).final_map.data.copy()
     model.decoder[-1].proj[0].weight.data += 0.25  # level 1's projection of G^2
     assert not np.array_equal(base, model(x).final_map.data)
@@ -171,7 +173,7 @@ def test_residual_upsamples_stay_narrow():
     # so no wide deep map is resampled onto a shallow level's extents
     cfg = NetworkConfig(levels=4, base_channels=4)
     model = FudsaNet(cfg, seed=14)
-    x = T.uniform((1, 1, 32, 32), 0, 1, seed=15)
+    x = uniform((1, 1, 32, 32), 0, 1, seed=15)
     with T.Tape() as tape:
         model(x)
     ups = [out for out, fn in tape.nodes if fn.__qualname__.startswith("upsample.")]
@@ -184,7 +186,7 @@ def test_residual_upsamples_stay_narrow():
 def test_deep_block_perturbation_reaches_shallow_output():
     # residual path: perturbing the deepest decoder block changes G^1
     model = FudsaNet(small_cfg(), seed=10)
-    x = T.uniform((1, 1, 32, 32), 0, 1, seed=11)
+    x = uniform((1, 1, 32, 32), 0, 1, seed=11)
     base = model(x).decoder_maps[1].data.copy()
     for p in model.decoder[0].block.params():
         p.data += 0.1
@@ -193,7 +195,7 @@ def test_deep_block_perturbation_reaches_shallow_output():
 
 def test_forward_deterministic():
     model = FudsaNet(small_cfg(), seed=12)
-    x = T.uniform((1, 1, 32, 32), 0, 1, seed=13)
+    x = uniform((1, 1, 32, 32), 0, 1, seed=13)
     a = model(x).final_map.data
     b = model(x).final_map.data
     assert np.array_equal(a, b)

@@ -1,13 +1,16 @@
 import io
 import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fudsa import tensor as T
-from fudsa.errors import InvalidArgument, InvalidShape, ShapeMismatch
+from fudsa.errors import FudsaError, InvalidArgument, InvalidShape, ShapeMismatch
 
-from conftest import check_grads
+from conftest import check_grads, uniform
 
 
 def t64(a, requires_grad=False):
@@ -29,15 +32,15 @@ def test_constant_count():
 
 
 def test_uniform_deterministic():
-    a = T.uniform((1, 1, 8, 8), -1, 1, seed=7)
-    b = T.uniform((1, 1, 8, 8), -1, 1, seed=7)
+    a = uniform((1, 1, 8, 8), -1, 1, seed=7)
+    b = uniform((1, 1, 8, 8), -1, 1, seed=7)
     assert np.array_equal(a.data, b.data)
-    assert not np.array_equal(a.data, T.uniform((1, 1, 8, 8), -1, 1, seed=8).data)
+    assert not np.array_equal(a.data, uniform((1, 1, 8, 8), -1, 1, seed=8).data)
 
 
 def test_uniform_bad_bounds():
     with pytest.raises(InvalidArgument):
-        T.uniform((1, 1, 2, 2), 1, 1, seed=0)
+        uniform((1, 1, 2, 2), 1, 1, seed=0)
 
 
 def test_he_normal_variance():
@@ -63,7 +66,7 @@ def test_add_identity():
 
 
 def test_mul_channel_broadcast():
-    a = T.uniform((1, 3, 4, 4), -1, 1, seed=0)
+    a = uniform((1, 3, 4, 4), -1, 1, seed=0)
     b = T.from_array(np.array([1.0, 2.0, 3.0], dtype=np.float32).reshape(1, 3, 1, 1))
     out = T.mul(a, b)
     assert out.shape == (1, 3, 4, 4)
@@ -607,7 +610,7 @@ def test_activation_grads(rng):
 
 
 def test_dense_identity():
-    x = T.uniform((2, 3, 1, 1), -1, 1, seed=0, dtype=np.float64)
+    x = uniform((2, 3, 1, 1), -1, 1, seed=0, dtype=np.float64)
     w = T.Tensor(np.eye(3).reshape(3, 3, 1, 1))
     out = T.dense(x, w)
     assert np.allclose(out.data, x.data)
@@ -747,3 +750,35 @@ def test_ften_rejects_extents_that_overflow(tmp_path):
     p.write_bytes(b"FTEN" + struct.pack("<BBB5x", 1, 0, 2) + struct.pack("<2Q", 2 ** 62, 4))
     with pytest.raises(InvalidArgument):
         T.read_ften(p)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_ften_damaged_bytes_read_back_or_raise(data):
+    # a read raises or returns the array the bytes hold: a truncated or extended record
+    # raises, and a changed one reads back as written or writes back byte for byte
+    dtype = data.draw(st.sampled_from([np.float32, np.float64]))
+    shape = tuple(data.draw(st.lists(st.integers(1, 3), min_size=1, max_size=4)))
+    a = np.random.default_rng(data.draw(st.integers(0, 99))).normal(size=shape).astype(dtype)
+    buf = io.BytesIO()
+    T.write_ften(buf, a)
+    blob = bytearray(buf.getvalue())
+    damage = data.draw(st.sampled_from(["truncate", "change", "extend"]))
+    if damage == "truncate":
+        del blob[data.draw(st.integers(0, len(blob) - 1)):]
+    elif damage == "extend":
+        blob += data.draw(st.binary(min_size=1, max_size=16))
+    else:
+        for _ in range(data.draw(st.integers(1, 3))):
+            blob[data.draw(st.integers(0, len(blob) - 1))] = data.draw(st.integers(0, 255))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "t.ften"
+        path.write_bytes(blob)
+        try:
+            got = T.read_ften(path)
+        except FudsaError:
+            return
+    assert damage == "change"
+    again = io.BytesIO()
+    T.write_ften(again, got)
+    assert again.getvalue() == bytes(blob[:7] + bytes(5) + blob[12:])  # padding is not read
