@@ -14,8 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import tensor as T
 from .errors import ShapeMismatch
 from .layers import Conv2d, MatchChain, MlpHead, Module, SdcBlock
@@ -33,20 +31,19 @@ class AttentionResult:
 class AttentionGate(Module):
     """Gate for level ``level`` with ``channels[i]`` channels at encoder level i+1."""
 
-    def __init__(self, level, channels, rng, spatial_only=False, dtype=np.float32):
+    def __init__(self, level, channels, spatial_only=False):
         if len(channels) != level:
             raise ShapeMismatch(f"need {level} channel counts, got {len(channels)}")
         self.level = level
         self.spatial_only = spatial_only
         c = channels[-1]
         # one match chain per encoder level i = 1..l; level i needs l-i+1 halvings
-        self.match_chains = [MatchChain(channels[i], c, level - i, rng, dtype=dtype)
-                             for i in range(level)]
-        self.reduce = Conv2d(2 * c, c, 1, rng, dtype=dtype)
-        self.sdc = SdcBlock(c, rng, dtype=dtype)
-        self.mlp = MlpHead(c, rng, dtype=dtype)
-        self.spatial_conv3 = Conv2d(c, c, 3, rng, padding=1, dtype=dtype)
-        self.spatial_conv1 = Conv2d(c, 1, 1, rng, dtype=dtype)
+        self.match_chains = [MatchChain(channels[i], c, level - i) for i in range(level)]
+        self.reduce = Conv2d(2 * c, c, 1)
+        self.sdc = SdcBlock(c)
+        self.mlp = MlpHead(c)
+        self.spatial_conv3 = Conv2d(c, c, 3, padding=1)
+        self.spatial_conv1 = Conv2d(c, 1, 1)
 
     def __call__(self, encoder_maps, decoder_map) -> AttentionResult:
         if len(encoder_maps) != self.level:

@@ -211,15 +211,16 @@ def read_utf8(path):
 def read_manifest(path):
     """Returns (ids, split-or-None).  An id names files under the dataset's
     directories, so it cannot hold '/' or NUL, or be '.' or '..'."""
-    ids, split, seed, section, seen = [], None, None, None, set()
+    ids, split, section, seen = [], None, None, set()
     for line in read_utf8(path).splitlines():
         line = line.strip()
         if not line:
             continue
         m = re.fullmatch(r"#\s*split\s+seed=(-?\d+)", line)
         if m:
-            seed = int(m.group(1))
-            split = SplitManifest([], [], seed)
+            if split is not None:  # a second one once dropped the sections above it
+                raise InvalidArgument(f"{path}: a split line is listed twice, at {line!r}")
+            split = SplitManifest([], [], int(m.group(1)))
             continue
         if line.startswith("#"):
             continue

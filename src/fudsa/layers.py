@@ -4,6 +4,10 @@ A module's parameters are its attributes.  ``named_params()`` walks
 ``vars(self)`` in assignment order: a Tensor that requires a gradient is a
 parameter, a Module is recursed into, and a list holds Modules named
 ``<attr>.<i>.``.
+
+Constructors take shapes only: every parameter is born a read-only float32
+zero that holds no memory, and ``initialise`` gives each one an array of its
+own, drawing the weights in ``named_params()`` order.
 """
 
 from __future__ import annotations
@@ -33,21 +37,29 @@ class Module:
             p.zero_grad()
 
 
-def _weight(shape, fan_in, rng, dtype):
-    """He-initialised weight; zeros when ``rng`` is None (weights to be loaded)."""
-    if rng is None:
-        return T.zeros(shape, dtype=dtype, requires_grad=True)
-    return T.he_normal(shape, fan_in, rng, dtype=dtype, requires_grad=True)
+def initialise(module, rng, dtype):
+    """New ``dtype`` data for every parameter, in ``named_params()`` order: each weight
+    He-normal draws from ``rng`` with std sqrt(2 / fan-in), fan-in = Cin*kH*kW (arXiv
+    1502.01852); biases, and every parameter when ``rng`` is None, zeros."""
+    for name, p in module.named_params():
+        if rng is not None and name.endswith("weight"):
+            p.data = (rng.standard_normal(p.shape) * np.sqrt(2.0 / p.data[0].size)).astype(dtype)
+        else:
+            p.data = np.zeros(p.shape, dtype)
+
+
+def _zero(shape):
+    """A read-only float32 zero parameter whose elements all read one 4-byte buffer."""
+    return T.Tensor(np.ndarray(shape, np.float32, bytes(4), strides=(0,) * 4), True)
 
 
 class Conv2d(Module):
-    def __init__(self, in_ch, out_ch, k, rng, stride=1, dilation=1, padding=0,
-                 dtype=np.float32):
+    def __init__(self, in_ch, out_ch, k, stride=1, dilation=1, padding=0):
         self.stride = stride
         self.dilation = dilation
         self.padding = padding
-        self.weight = _weight((out_ch, in_ch, k, k), in_ch * k * k, rng, dtype)
-        self.bias = T.zeros((1, out_ch, 1, 1), dtype=dtype, requires_grad=True)
+        self.weight = _zero((out_ch, in_ch, k, k))
+        self.bias = _zero((1, out_ch, 1, 1))
 
     def __call__(self, x):
         return T.conv2d(x, self.weight, self.bias, stride=self.stride,
@@ -64,9 +76,9 @@ class Dense(Conv2d):
 class ConvBlock(Module):
     """Two 3x3 same-padding convolutions, each followed by relu."""
 
-    def __init__(self, in_ch, out_ch, rng, dtype=np.float32):
-        self.conv1 = Conv2d(in_ch, out_ch, 3, rng, padding=1, dtype=dtype)
-        self.conv2 = Conv2d(out_ch, out_ch, 3, rng, padding=1, dtype=dtype)
+    def __init__(self, in_ch, out_ch):
+        self.conv1 = Conv2d(in_ch, out_ch, 3, padding=1)
+        self.conv2 = Conv2d(out_ch, out_ch, 3, padding=1)
 
     def __call__(self, x):
         return T.relu(self.conv2(T.relu(self.conv1(x))))
@@ -81,10 +93,10 @@ class MatchChain(Module):
     (the encoder map at level l sits at twice the attention working size).
     """
 
-    def __init__(self, src_ch, dst_ch, hops, rng, dtype=np.float32):
+    def __init__(self, src_ch, dst_ch, hops):
         self.hops = hops
-        self.convs = [Conv2d(src_ch, dst_ch if h == hops - 1 else src_ch, 2, rng, stride=2,
-                             dtype=dtype) for h in range(hops)]
+        self.convs = [Conv2d(src_ch, dst_ch if h == hops - 1 else src_ch, 2, stride=2)
+                      for h in range(hops)]
 
     def __call__(self, x):
         expect = x.shape[2] >> self.hops, x.shape[3] >> self.hops
@@ -104,8 +116,8 @@ class SdcBlock(Module):
     """Stacked dilated 3x3 convolutions (relu after each) at ``SDC_DILATIONS``,
     channel preserving."""
 
-    def __init__(self, channels, rng, dtype=np.float32):
-        self.convs = [Conv2d(channels, channels, 3, rng, dilation=d, padding=d, dtype=dtype)
+    def __init__(self, channels):
+        self.convs = [Conv2d(channels, channels, 3, dilation=d, padding=d)
                       for d in SDC_DILATIONS]
 
     def __call__(self, x):
@@ -117,10 +129,10 @@ class SdcBlock(Module):
 class MlpHead(Module):
     """dense(C -> ceil(C/MLP_REDUCTION)) + relu, dense(-> C) + sigmoid; output in (0,1)."""
 
-    def __init__(self, channels, rng, dtype=np.float32):
+    def __init__(self, channels):
         hidden = -(-channels // MLP_REDUCTION)
-        self.fc1 = Dense(channels, hidden, 1, rng, dtype=dtype)
-        self.fc2 = Dense(hidden, channels, 1, rng, dtype=dtype)
+        self.fc1 = Dense(channels, hidden, 1)
+        self.fc2 = Dense(hidden, channels, 1)
 
     def __call__(self, x):
         return T.sigmoid(self.fc2(T.relu(self.fc1(x))))

@@ -17,7 +17,7 @@ import numpy as np
 from . import tensor as T
 from .attention import AttentionGate
 from .errors import InvalidArgument, ShapeMismatch
-from .layers import Conv2d, ConvBlock, Module
+from .layers import Conv2d, ConvBlock, Module, initialise
 
 
 VARIANTS = {  # each ablation -> the NetworkConfig flags it changes
@@ -80,23 +80,21 @@ class ForwardOutputs:
 
 
 class _DecoderLevel(Module):
-    def __init__(self, cfg: NetworkConfig, level: int, rng, dtype):
+    def __init__(self, cfg: NetworkConfig, level: int):
         c = cfg.channels_at(level)
-        self.up_conv = Conv2d(2 * c, c, 3, rng, padding=1, dtype=dtype)
-        self.attention = AttentionGate(
-            level, [cfg.channels_at(i) for i in range(1, level + 1)], rng,
-            spatial_only=cfg.spatial_only, dtype=dtype)
-        self.block = ConvBlock(2 * c, c, rng, dtype=dtype)
+        self.up_conv = Conv2d(2 * c, c, 3, padding=1)
+        self.attention = AttentionGate(level, [cfg.channels_at(i) for i in range(1, level + 1)],
+                                       spatial_only=cfg.spatial_only)
+        self.block = ConvBlock(2 * c, c)
         # residual projections from every deeper decoder level m > level
-        self.proj = [Conv2d(cfg.channels_at(m), c, 1, rng, dtype=dtype)
-                     for m in range(level + 1, cfg.levels + 1)]
+        self.proj = [Conv2d(cfg.channels_at(m), c, 1) for m in range(level + 1, cfg.levels + 1)]
 
 
 class FudsaNet(Module):
-    """The network; ``seed`` seeds the He initialisation.
+    """The network, He-initialised from ``seed`` by ``layers.initialise``.
 
-    ``seed=None`` draws no random numbers and leaves every parameter zero,
-    for callers that load the parameters afterwards.
+    ``seed=None`` draws no random numbers: every parameter is a zero of the
+    config's dtype, for callers that load the parameters afterwards.
     """
 
     def __init__(self, config: NetworkConfig, seed: int | None = 0):
@@ -104,22 +102,17 @@ class FudsaNet(Module):
         if widest > MAX_CHANNELS:  # checked before anything is allocated
             raise InvalidArgument(f"base_channels * 2^levels = {widest} channels at the "
                                   f"bottleneck; at most {MAX_CHANNELS} are allowed")
-        self.config = config
-        dtype = config.np_dtype
-        rng = None if seed is None else np.random.default_rng(seed)
-        cfg = config
-
+        cfg = self.config = config
         self.encoder = [ConvBlock(cfg.channels_at(level - 1) if level > 1 else INPUT_CHANNELS,
-                                  cfg.channels_at(level), rng, dtype=dtype)
+                                  cfg.channels_at(level))
                         for level in range(1, cfg.levels + 1)]
-        self.bottleneck = ConvBlock(cfg.channels_at(cfg.levels),
-                                    cfg.channels_at(cfg.levels + 1), rng, dtype=dtype)
-        self.decoder = [_DecoderLevel(cfg, level, rng, dtype)
-                        for level in range(cfg.levels, 0, -1)]
-        self.final_head = Conv2d(cfg.base_channels, 1, 1, rng, dtype=dtype)
+        self.bottleneck = ConvBlock(cfg.channels_at(cfg.levels), cfg.channels_at(cfg.levels + 1))
+        self.decoder = [_DecoderLevel(cfg, level) for level in range(cfg.levels, 0, -1)]
+        self.final_head = Conv2d(cfg.base_channels, 1, 1)
         if cfg.deep_supervision:
-            self.side_heads = [Conv2d(cfg.channels_at(level), 1, 1, rng, dtype=dtype)
+            self.side_heads = [Conv2d(cfg.channels_at(level), 1, 1)
                                for level in range(2, cfg.levels + 1)]
+        initialise(self, None if seed is None else np.random.default_rng(seed), cfg.np_dtype)
 
     def forward(self, x: T.Tensor) -> ForwardOutputs:
         cfg = self.config

@@ -23,7 +23,7 @@ from .errors import InvalidArgument, InvalidShape, ShapeMismatch
 
 __all__ = [
     "Tensor", "Tape", "backward",
-    "zeros", "constant", "he_normal", "from_array",
+    "zeros", "constant", "from_array",
     "add", "sub", "mul", "div", "scale", "add_scalar", "rsub_scalar", "power",
     "conv2d", "max_pool2", "global_avg_pool", "upsample", "relu", "sigmoid",
     "dense", "concat_channels", "tsum",
@@ -143,16 +143,6 @@ def zeros(shape, dtype=np.float32, requires_grad=False):
 
 def constant(shape, value, dtype=np.float32, requires_grad=False):
     return Tensor(np.full(_check_shape(shape), value, dtype=dtype), requires_grad=requires_grad)
-
-
-def he_normal(shape, fan_in, seed, dtype=np.float32, requires_grad=False):
-    """Normal init with variance 2/fan_in (fan_in = Cin*kH*kW of the kernel)."""
-    if fan_in < 1:
-        raise InvalidArgument(f"fan_in must be >= 1, got {fan_in}")
-    rng = np.random.default_rng(seed)
-    std = np.sqrt(2.0 / fan_in)
-    data = (rng.standard_normal(_check_shape(shape)) * std).astype(dtype)
-    return Tensor(data, requires_grad=requires_grad)
 
 
 def from_array(a, requires_grad=False):

@@ -271,6 +271,8 @@ def load_checkpoint(path):
             for _ in range(count):
                 (nlen,) = struct.unpack("<H", fh.read(2))
                 name = fh.read(nlen).decode()
+                if name in index:  # else the later record would silently win
+                    raise CorruptCheckpoint(f"{path}: entry {name!r} is listed twice")
                 dt, shape = T.read_ften_header(fh, size)
                 index[name] = (dt, shape, fh.tell())
                 fh.seek(math.prod(shape) * dt.itemsize, os.SEEK_CUR)
@@ -355,20 +357,27 @@ def gradient_check(model: FudsaNet, x: T.Tensor, y: T.Tensor, n_samples=20, seed
     results = []
     for name, p in model.named_params():
         analytic = p.grad if p.grad is not None else np.zeros_like(p.data)
-        flat = p.data.reshape(-1)
-        n = min(n_samples, flat.size)
-        coords = rng.choice(flat.size, size=n, replace=False)
+        coords = rng.choice(p.data.size, size=min(n_samples, p.data.size), replace=False)
         worst = 0.0
-        for c in coords:
-            keep = flat[c]
-            flat[c] = keep + h
-            fp_ = loss_value()
-            flat[c] = keep - h
-            fm_ = loss_value()
-            flat[c] = keep
-            numeric = (fp_ - fm_) / (2 * h)
+        for c, numeric in zip(coords, central_differences(loss_value, p, coords, h)):
             err = abs(analytic.reshape(-1)[c] - numeric) / max(1.0, abs(numeric))
             worst = max(worst, err)
         results.append((name, worst))
     model.zero_grad()
     return results
+
+
+def central_differences(f, tensor, coords, h):
+    """(f(x + h) - f(x - h)) / 2h of scalar ``f()`` at each flat coordinate x of
+    ``tensor``, moved in place and restored."""
+    flat = tensor.data.reshape(-1)
+    out = []
+    for c in coords:
+        keep = flat[c]
+        flat[c] = keep + h
+        fp = f()
+        flat[c] = keep - h
+        fm = f()
+        flat[c] = keep
+        out.append((fp - fm) / (2 * h))
+    return out

@@ -1,8 +1,12 @@
+import struct
+
 import numpy as np
 import pytest
 
 from fudsa import tensor as T
 from fudsa.errors import InvalidArgument
+from fudsa.layers import initialise
+from fudsa.training import central_differences
 
 
 @pytest.fixture
@@ -18,19 +22,32 @@ def uniform(shape, lo, hi, seed, dtype=np.float32, requires_grad=False):
     return T.Tensor(data, requires_grad=requires_grad)
 
 
-def finite_diff(f, tensor, coords, h):
-    """Central differences of scalar f() wrt selected flat coords of tensor."""
-    flat = tensor.data.reshape(-1)
-    out = []
-    for c in coords:
-        keep = flat[c]
-        flat[c] = keep + h
-        fp = f()
-        flat[c] = keep - h
-        fm = f()
-        flat[c] = keep
-        out.append((fp - fm) / (2 * h))
-    return np.array(out)
+def build(module, seed=0, dtype=np.float32):
+    """``module`` initialised as ``FudsaNet`` initialises itself, from ``seed``."""
+    initialise(module, np.random.default_rng(seed), dtype)
+    return module
+
+
+def fud1_records(blob):
+    """(record start, FTEN start, record end) of every record in a FUD1 blob."""
+    (count,) = struct.unpack_from("<I", blob, 4)
+    pos, spans = 8, []
+    for _ in range(count):
+        (nlen,) = struct.unpack_from("<H", blob, pos)
+        ften = pos + 2 + nlen
+        code, rank = blob[ften + 5], blob[ften + 6]
+        shape = struct.unpack_from(f"<{rank}Q", blob, ften + 12)
+        spans.append((pos, ften, ften + 12 + 8 * rank + int(np.prod(shape)) * (4, 8)[code]))
+        pos = spans[-1][2]
+    assert pos == len(blob)
+    return spans
+
+
+def repeat_record(blob, name):
+    """FUD1 blob with a copy of entry ``name``'s record appended and the count raised."""
+    spans = fud1_records(blob)
+    start, _, end = next(r for r in spans if blob[r[0] + 2:r[1]] == name.encode())
+    return blob[:4] + struct.pack("<I", len(spans) + 1) + blob[8:] + blob[start:end]
 
 
 def check_grads(make_loss, tensors, h=1e-6, tol=1e-6, n=20, seed=0):
@@ -46,7 +63,7 @@ def check_grads(make_loss, tensors, h=1e-6, tol=1e-6, n=20, seed=0):
     for t in tensors:
         assert t.grad is not None, "no gradient reached a checked tensor"
         coords = rng.choice(t.data.size, size=min(n, t.data.size), replace=False)
-        numeric = finite_diff(lambda: make_loss().item(), t, coords, h)
+        numeric = np.array(central_differences(lambda: make_loss().item(), t, coords, h))
         analytic = t.grad.reshape(-1)[coords]
         err = np.abs(analytic - numeric) / np.maximum(1.0, np.abs(numeric))
         assert err.max() < tol, f"gradient mismatch: max rel err {err.max():.3e}"

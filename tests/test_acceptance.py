@@ -19,6 +19,8 @@ from fudsa.network import FudsaNet, NetworkConfig, VARIANTS
 from fudsa.training import (TrainConfig, evaluate, load_checkpoint,
                             save_checkpoint, train)
 
+from conftest import build
+
 
 @contextlib.contextmanager
 def criterion(label):
@@ -77,7 +79,7 @@ def test_criterion_3_attention_properties():
             c1 = 4
             cfg = NetworkConfig(levels=3, base_channels=c1)
             chans = [cfg.channels_at(i + 1) for i in range(level)]
-            gate = AttentionGate(level, chans, np.random.default_rng(trial))
+            gate = build(AttentionGate(level, chans), seed=trial)
             c = cfg.channels_at(level)
             hh = 8
             encs = [T.Tensor(rng.standard_normal(

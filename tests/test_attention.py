@@ -5,13 +5,12 @@ from fudsa import tensor as T
 from fudsa.attention import AttentionGate
 from fudsa.errors import ShapeMismatch
 
-from conftest import check_grads, uniform
+from conftest import build, check_grads, uniform
 
 
 def make_gate(level=2, base=4, seed=0, dtype=np.float64, **kw):
     channels = [base * 2 ** i for i in range(level)]
-    return AttentionGate(level, channels, np.random.default_rng(seed),
-                         dtype=dtype, **kw), channels
+    return build(AttentionGate(level, channels, **kw), seed, dtype), channels
 
 
 def make_inputs(level=2, base=4, n=1, h=4, seed=1, dtype=np.float64):

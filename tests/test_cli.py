@@ -14,6 +14,8 @@ from fudsa.losses import LossConfig
 from fudsa.network import FudsaNet, NetworkConfig
 from fudsa.training import AdamState, TrainConfig, save_checkpoint
 
+from conftest import repeat_record
+
 
 def run(*argv):
     return cli.main(list(argv))
@@ -465,6 +467,21 @@ def test_eval_checkpoint_with_misshapen_moment_exits_2(data_dir, tmp_path, capsy
     save_checkpoint(model, state, tmp_path / "m.ckpt")
     assert run("eval", "--data", str(data_dir), "--checkpoint", str(tmp_path / "m.ckpt")) == 2
     assert "m/final_head.bias is float32 (1, 1, 1, 5)" in capsys.readouterr().err
+
+
+def test_damaged_checkpoint_exits_2_from_predict_and_eval(data_dir, tmp_path, capsys):
+    model = FudsaNet(NetworkConfig(levels=2, base_channels=2))
+    ckpt = tmp_path / "m.ckpt"
+    save_checkpoint(model, AdamState(model.named_params()), ckpt)
+    blob = ckpt.read_bytes()
+    image = data_dir / "images" / f"{D.read_manifest(data_dir / 'manifest.txt')[0][0]}.pgm"
+    for damaged in (blob[:len(blob) // 2], blob.replace(b"m/encoder", b"m/\xffncoder"),
+                    blob + b"\0", repeat_record(blob, "v/final_head.bias")):
+        ckpt.write_bytes(damaged)
+        assert run("predict", "--checkpoint", str(ckpt), "--image", str(image),
+                   "--out", str(tmp_path / "o.pgm")) == 2
+        assert run("eval", "--data", str(data_dir), "--checkpoint", str(ckpt)) == 2
+        assert capsys.readouterr().err.count(f"error: {ckpt}: ") == 2
 
 
 # ---------------------------------------------------------------------------

@@ -151,11 +151,18 @@ def test_manifest_rejects_leaking_split(tmp_path, train, val):
 
 
 @pytest.mark.parametrize("text", ["a\nb\na\n",
-                                  "a\nb\n# split seed=0\ntrain:\na\na\nval:\nb\n"])
+                                  "a\nb\n# split seed=0\ntrain:\na\na\nval:\nb\n",
+                                  # a second split line once started a new split: these
+                                  # read as train [], val [c], and as two empty lists
+                                  "a\nb\nc\n# split seed=1\ntrain:\na\nb\n"
+                                  "# split seed=2\nval:\nc\n",
+                                  "a\nb\nc\n# split seed=1\ntrain:\na\nb\nval:\nc\n"
+                                  "# split seed=1\n"])
 def test_manifest_rejects_an_id_listed_twice(tmp_path, text):
     path = tmp_path / "manifest.txt"
     path.write_text(text)
-    with pytest.raises(InvalidArgument, match="'a' is listed twice"):
+    with pytest.raises(InvalidArgument,
+                       match="manifest.txt: (id 'a'|a split line) is listed twice"):
         D.read_manifest(path)
 
 

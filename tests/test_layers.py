@@ -5,15 +5,11 @@ from fudsa import tensor as T
 from fudsa.errors import ShapeMismatch
 from fudsa.layers import Conv2d, ConvBlock, Dense, MatchChain, MlpHead, SdcBlock
 
-from conftest import check_grads, uniform
-
-
-def rng64(seed=0):
-    return np.random.default_rng(seed)
+from conftest import build, check_grads, uniform
 
 
 def test_conv_block_shape_and_nonneg():
-    block = ConvBlock(1, 8, rng64(), dtype=np.float64)
+    block = build(ConvBlock(1, 8), dtype=np.float64)
     x = uniform((1, 1, 16, 16), -1, 1, seed=1, dtype=np.float64)
     out = block(x)
     assert out.shape == (1, 8, 16, 16)
@@ -21,7 +17,7 @@ def test_conv_block_shape_and_nonneg():
 
 
 def test_conv_block_zero_params():
-    block = ConvBlock(1, 4, rng64())
+    block = build(ConvBlock(1, 4))
     for p in block.params():
         p.data[...] = 0.0
     out = block(uniform((1, 1, 8, 8), -1, 1, seed=2))
@@ -29,19 +25,19 @@ def test_conv_block_zero_params():
 
 
 def test_conv_block_channel_mismatch():
-    block = ConvBlock(2, 4, rng64())
+    block = build(ConvBlock(2, 4))
     with pytest.raises(ShapeMismatch):
         block(T.zeros((1, 3, 8, 8)))
 
 
 def test_conv_block_preserves_spatial_extents():
-    block = ConvBlock(2, 3, rng64())
+    block = build(ConvBlock(2, 3))
     for hw in (8, 16, 32, 64):
         assert block(T.zeros((1, 2, hw, hw))).shape == (1, 3, hw, hw)
 
 
 def test_conv_block_param_gradients():
-    block = ConvBlock(1, 3, rng64(), dtype=np.float64)
+    block = build(ConvBlock(1, 3), dtype=np.float64)
     x = uniform((1, 1, 8, 8), 0.1, 1, seed=3, dtype=np.float64)
     check_grads(lambda: T.tsum(block(x)), block.params(), tol=1e-5)
 
@@ -50,13 +46,13 @@ def test_conv_block_param_gradients():
 # MatchChain
 
 def test_match_chain_one_hop():
-    chain = MatchChain(4, 4, 1, rng64())
+    chain = build(MatchChain(4, 4, 1))
     out = chain(uniform((1, 4, 16, 16), -1, 1, seed=0))
     assert out.shape == (1, 4, 8, 8)
 
 
 def test_match_chain_three_hops_widens_last():
-    chain = MatchChain(2, 8, 3, rng64())
+    chain = build(MatchChain(2, 8, 3))
     out = chain(uniform((1, 2, 32, 32), -1, 1, seed=0))
     assert out.shape == (1, 8, 4, 4)
     # intermediate hops preserve the source channel count
@@ -68,7 +64,7 @@ def test_match_chain_three_hops_widens_last():
 def test_match_chain_identity_kernels_subsample():
     # a single 1 at the top-left of each 2x2 kernel with identity channel
     # mixing acts as stride-2 subsampling
-    chain = MatchChain(3, 3, 2, rng64())
+    chain = build(MatchChain(3, 3, 2))
     for conv in chain.convs:
         conv.weight.data[...] = 0.0
         conv.bias.data[...] = 0.0
@@ -87,14 +83,14 @@ def test_match_chain_shapes_exhaustive_l4():
         for i in range(1, l + 1):
             ci = base * 2 ** (i - 1)
             hops = l - i + 1
-            chain = MatchChain(ci, cl, hops, rng64())
+            chain = build(MatchChain(ci, cl, hops))
             h = 4 * 2 ** hops
             out = chain(T.zeros((1, ci, h, h)))
             assert out.shape == (1, cl, 4, 4), (i, l)
 
 
 def test_match_chain_grad():
-    chain = MatchChain(2, 4, 2, rng64(), dtype=np.float64)
+    chain = build(MatchChain(2, 4, 2), dtype=np.float64)
     x = uniform((1, 2, 8, 8), -1, 1, seed=6, dtype=np.float64)
     check_grads(lambda: T.tsum(T.mul(chain(x), chain(x))), chain.params(), tol=1e-5)
 
@@ -103,13 +99,13 @@ def test_match_chain_grad():
 # SdcBlock
 
 def test_sdc_preserves_shape():
-    block = SdcBlock(8, rng64())
+    block = build(SdcBlock(8))
     out = block(uniform((1, 8, 16, 16), -1, 1, seed=0))
     assert out.shape == (1, 8, 16, 16)
 
 
 def test_sdc_zero_weights():
-    block = SdcBlock(4, rng64())
+    block = build(SdcBlock(4))
     for p in block.params():
         p.data[...] = 0.0
     out = block(uniform((1, 4, 8, 8), -1, 1, seed=0))
@@ -118,7 +114,7 @@ def test_sdc_zero_weights():
 
 def test_sdc_receptive_field_15x15():
     # impulse response support is confined to a 15x15 window
-    block = SdcBlock(1, rng64(3), dtype=np.float64)
+    block = build(SdcBlock(1), seed=3, dtype=np.float64)
     for conv in block.convs:
         conv.weight.data = np.abs(conv.weight.data) + 0.1  # keep relu open
         conv.bias.data[...] = 0.0
@@ -132,7 +128,7 @@ def test_sdc_receptive_field_15x15():
 
 
 def test_sdc_spatial_preservation_sweep():
-    block = SdcBlock(2, rng64())
+    block = build(SdcBlock(2))
     for hw in (8, 16, 24, 32, 64):
         assert block(T.zeros((1, 2, hw, hw))).shape == (1, 2, hw, hw)
 
@@ -141,7 +137,7 @@ def test_sdc_spatial_preservation_sweep():
 # MlpHead
 
 def test_mlp_zero_params_give_half():
-    head = MlpHead(8, rng64())
+    head = build(MlpHead(8))
     for p in head.params():
         p.data[...] = 0.0
     out = head(uniform((2, 8, 1, 1), -1, 1, seed=0))
@@ -149,33 +145,33 @@ def test_mlp_zero_params_give_half():
 
 
 def test_mlp_hidden_width():
-    head = MlpHead(8, rng64())
+    head = build(MlpHead(8))
     assert head.fc1.weight.shape == (2, 8, 1, 1)
-    head = MlpHead(5, rng64())
+    head = build(MlpHead(5))
     assert head.fc1.weight.shape == (2, 5, 1, 1)  # ceil(5/4)
 
 
 def test_mlp_output_in_open_interval():
-    head = MlpHead(6, rng64(9))
+    head = build(MlpHead(6), seed=9)
     out = head(uniform((4, 6, 1, 1), -3, 3, seed=1))
     assert out.data.min() > 0.0
     assert out.data.max() < 1.0
 
 
 def test_mlp_rejects_spatial():
-    head = MlpHead(4, rng64())
+    head = build(MlpHead(4))
     with pytest.raises(ShapeMismatch):
         head(T.zeros((1, 4, 2, 2)))
 
 
 def test_mlp_grad():
-    head = MlpHead(4, rng64(), dtype=np.float64)
+    head = build(MlpHead(4), dtype=np.float64)
     x = uniform((2, 4, 1, 1), -1, 1, seed=2, dtype=np.float64)
     check_grads(lambda: T.tsum(head(x)), head.params(), tol=1e-5)
 
 
 def test_named_params_unique_and_stable():
-    block = ConvBlock(1, 4, rng64())
+    block = build(ConvBlock(1, 4))
     names = [n for n, _ in block.named_params()]
     assert len(names) == len(set(names)) == 4
     assert names == [n for n, _ in block.named_params()]

@@ -5,10 +5,11 @@ import pytest
 
 from fudsa import tensor as T
 from fudsa.errors import InvalidArgument, ShapeMismatch
+from fudsa.layers import Conv2d
 from fudsa.losses import LossConfig, supervised_loss
 from fudsa.network import FudsaNet, NetworkConfig, VARIANTS
 
-from conftest import uniform
+from conftest import build, uniform
 
 
 def small_cfg(**kw):
@@ -39,6 +40,9 @@ PINNED_INIT = {  # (levels, base_channels, dtype, variant) -> sha256 of names an
     (2, 4, "f32", "III"): "a87c54cd2dcfa39a551289c432cfb6cb555b08f5f76159fa633791b7add54d99",
     (2, 4, "f64", "full"): "60b3f4777229570852f35f380f1fb7cdd6b4e61fca9b8b74491d11d792d3ddad",
     (4, 16, "f32", "full"): "682d8b5347bc760cb927496f0175e10aa63e405d593336baef28ff20f084b742",
+    (3, 8, "f32", "I"): "8d9f255d51bfa364b9b7eb5e0ee109d028eaf83771d44a0f153cbf3cc67dcb76",
+    (3, 8, "f64", "II"): "f19d9de0b1482c373b58e4055e2289bed4ba8cbb4a2824d01d956098a3b3ba3c",
+    (2, 1, "f32", "full"): "b222b325d836dc9621a625583adc982647327b444a38ad0e12c580cff5c69071",
 }
 
 
@@ -67,10 +71,7 @@ def test_parameter_summary_names_unique():
 
 
 def test_parameter_count_formula():
-    model = FudsaNet(small_cfg(), seed=0)
-    rng = np.random.default_rng(0)
-    from fudsa.layers import Conv2d
-    conv = Conv2d(2, 4, 3, rng)
+    conv = build(Conv2d(2, 4, 3))
     counts = {n: int(np.prod(p.shape)) for n, p in conv.named_params()}
     assert counts["weight"] + counts["bias"] == 76
 

@@ -9,8 +9,9 @@ from hypothesis import given, settings, strategies as st
 
 from fudsa import tensor as T
 from fudsa.errors import FudsaError, InvalidArgument, InvalidShape, ShapeMismatch
+from fudsa.layers import Conv2d
 
-from conftest import check_grads, uniform
+from conftest import build, check_grads, uniform
 
 
 def t64(a, requires_grad=False):
@@ -44,9 +45,11 @@ def test_uniform_bad_bounds():
 
 
 def test_he_normal_variance():
-    fan_in = 3 * 3 * 8
-    t = T.he_normal((64, 8, 30, 30), fan_in, seed=3)
-    assert abs(t.data.var() - 2.0 / fan_in) < 0.1 * 2.0 / fan_in
+    # initialise's weights have variance 2 / fan-in, fan-in = Cin*kH*kW = 8*30*30
+    conv = build(Conv2d(8, 64, 30), seed=3)
+    fan_in = 8 * 30 * 30
+    assert abs(conv.weight.data.var() - 2.0 / fan_in) < 0.1 * 2.0 / fan_in
+    assert not conv.bias.data.any()
 
 
 def test_bad_extents():

@@ -1,19 +1,25 @@
+import functools
 import struct
+import tempfile
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fudsa import data as D
+from fudsa import network
 from fudsa import tensor as T
 from fudsa import training
-from fudsa.errors import (CorruptCheckpoint, InvalidArgument, InvalidState,
+from fudsa.errors import (CorruptCheckpoint, FudsaError, InvalidArgument, InvalidState,
                           NumericalDivergence)
 from fudsa.network import FudsaNet, NetworkConfig, VARIANTS
 from fudsa.training import (AdamState, TrainConfig, adam_step, evaluate,
                             gradient_check, load_checkpoint, save_checkpoint,
                             train)
+
+from conftest import fud1_records, repeat_record
 
 SMALL = NetworkConfig(levels=2, base_channels=4)
 
@@ -344,7 +350,13 @@ def test_checkpoint_load_draws_no_random_numbers(tmp_path, monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("load_checkpoint drew random numbers")
 
-    monkeypatch.setattr(T, "he_normal", forbidden)
+    def initialise(module, rng, dtype):
+        if rng is not None:
+            forbidden()
+        real_initialise(module, rng, dtype)
+
+    real_initialise = network.initialise
+    monkeypatch.setattr(network, "initialise", initialise)
     monkeypatch.setattr(np.random, "default_rng", forbidden)
     loaded, _ = load_checkpoint(path)
     for (name, p), (lname, lp) in zip(model.named_params(), loaded.named_params()):
@@ -376,6 +388,17 @@ def test_checkpoint_trailing_garbage(tmp_path):
     save_checkpoint(model, None, path)
     path.write_bytes(path.read_bytes() + b"extra")
     with pytest.raises(CorruptCheckpoint):
+        load_checkpoint(path)
+
+
+def test_checkpoint_entry_listed_twice_is_corrupt(tmp_path):
+    # the later record once won: a second p/final_head.bias of 7.0 loaded over the saved 0.0
+    path = tmp_path / "d.ckpt"
+    save_checkpoint(small_model(seed=3), None, path)
+    blob = bytearray(repeat_record(path.read_bytes(), "p/final_head.bias"))
+    struct.pack_into("<f", blob, len(blob) - 4, 7.0)
+    path.write_bytes(bytes(blob))
+    with pytest.raises(CorruptCheckpoint, match="'p/final_head.bias' is listed twice"):
         load_checkpoint(path)
 
 
@@ -425,17 +448,8 @@ def test_checkpoint_header_claiming_huge_payload_is_rejected_before_allocating(t
 
 def _ften_header_bytes(blob):
     """Offsets of every FTEN version, dtype, rank and extent byte in a FUD1 blob."""
-    (count,) = struct.unpack_from("<I", blob, 4)
-    pos, offsets = 8, []
-    for _ in range(count):
-        (nlen,) = struct.unpack_from("<H", blob, pos)
-        pos += 2 + nlen
-        code, rank = blob[pos + 5], blob[pos + 6]
-        offsets += [pos + 4, pos + 5, pos + 6] + list(range(pos + 12, pos + 12 + 8 * rank))
-        shape = struct.unpack_from(f"<{rank}Q", blob, pos + 12)
-        pos += 12 + 8 * rank + int(np.prod(shape)) * (4, 8)[code]
-    assert pos == len(blob)
-    return offsets
+    return [i for _, at, _ in fud1_records(blob)
+            for i in [at + 4, at + 5, at + 6, *range(at + 12, at + 12 + 8 * blob[at + 6])]]
 
 
 def test_checkpoint_seeded_corruption_raises_corrupt_checkpoint(tmp_path):
@@ -458,6 +472,41 @@ def test_checkpoint_seeded_corruption_raises_corrupt_checkpoint(tmp_path):
         bad.write_bytes(bytes(b))
         with pytest.raises(CorruptCheckpoint):
             load_checkpoint(bad)
+
+
+@functools.cache
+def _checkpoint_with_adam_state():
+    model = small_model(seed=3)
+    with tempfile.TemporaryDirectory() as tmp:
+        save_checkpoint(model, AdamState(model.named_params()), Path(tmp) / "c.ckpt")
+        return (Path(tmp) / "c.ckpt").read_bytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_checkpoint_damaged_bytes_load_or_raise(data):
+    # a load returns a model or raises a FudsaError subclass: a truncated or extended
+    # file or a repeated record raises, and only changed bytes may still load
+    blob = bytearray(_checkpoint_with_adam_state())
+    damage = data.draw(st.sampled_from(["truncate", "change", "extend", "repeat"]))
+    if damage == "truncate":
+        del blob[data.draw(st.integers(0, len(blob) - 1)):]
+    elif damage == "extend":
+        blob += data.draw(st.binary(min_size=1, max_size=16))
+    elif damage == "repeat":
+        names = [bytes(blob[r[0] + 2:r[1]]).decode() for r in fud1_records(blob)]
+        blob = repeat_record(blob, data.draw(st.sampled_from(names)))
+    else:
+        for _ in range(data.draw(st.integers(1, 3))):
+            blob[data.draw(st.integers(0, len(blob) - 1))] = data.draw(st.integers(0, 255))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "c.ckpt"
+        path.write_bytes(blob)
+        try:
+            load_checkpoint(path)
+        except FudsaError:
+            return
+    assert damage == "change"
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, 2.5])
