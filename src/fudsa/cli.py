@@ -23,8 +23,8 @@ from . import tensor as T
 from .errors import FudsaError, InvalidArgument, NumericalDivergence
 from .losses import METRICS_CSV_HEADER, metrics_csv_row
 from .network import FudsaNet, NetworkConfig, VARIANTS
-from .training import (MASK_THRESHOLD, AdamState, TrainConfig, evaluate, gradient_check,
-                       load_checkpoint, save_checkpoint, train)
+from .training import (MASK_THRESHOLD, AdamState, TrainConfig, all_finite, evaluate,
+                       gradient_check, load_checkpoint, save_checkpoint, train)
 
 # config.txt keys are the config fields, in field order; each parses as its default's type
 _KEY_TYPES = {f.name: type(f.default) for f in fields(NetworkConfig) + fields(TrainConfig)}
@@ -201,6 +201,8 @@ def cmd_predict(args):
     img = D.read_image01(args.image)
     x = T.Tensor(img[np.newaxis, np.newaxis].astype(model.config.np_dtype))
     out = model(x)
+    if not all_finite(out.final_map.data):  # no threshold makes a mask of it
+        raise NumericalDivergence(f"{args.image}: the final map holds a NaN or an infinity")
     mask = (out.final_map.data[0, 0] >= MASK_THRESHOLD).astype(np.uint8)
     D.write_pgm(args.out, mask * 255, 255)
     if args.dump_attention:

@@ -30,4 +30,4 @@ class CorruptCheckpoint(FudsaError):
 
 
 class NumericalDivergence(FudsaError):
-    """Training produced a non-finite loss."""
+    """A model produced a non-finite loss or final map."""

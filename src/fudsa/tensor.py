@@ -6,6 +6,11 @@ the output does too and the op appends a backward closure to the tape.
 ``backward(loss, tape)`` replays the tape in reverse and accumulates
 d(loss)/d(t) into ``t.grad`` for every tensor that requires a gradient.
 
+A backward closure keeps the arrays it reads and its inputs' gradient
+holders, never an operand ``Tensor`` (a leaf is its own holder), so a value
+that no backward reads, such as a conv output before its relu, is freed as
+soon as the caller drops its ``Tensor``.
+
 Numerics are float32 by default; pass dtype=np.float64 for tight gradient
 checks.
 """
@@ -31,13 +36,18 @@ __all__ = [
 ]
 
 _TAPE_STACK: list["Tape"] = []
+_ZERO = np.frombuffer(bytes(8))  # read-only; every holder's f32 or f64 placeholder reads it
 
 
 class Tape:
     """Ordered record of forward ops; reverse replay yields gradients.
 
     Use as a context manager around a forward pass.  Tapes are single
-    threaded; one tape per training step.
+    threaded; one tape per training step.  ``nodes`` holds a ``(holder,
+    backward)`` pair per taped op.  The holder is a Tensor with the output's
+    gradient, over a zero-stride placeholder that holds no memory, and lives
+    until the tape is dropped; the output's value only as long as its
+    ``Tensor`` or a backward closure that reads it.
     """
 
     def __init__(self):
@@ -57,9 +67,10 @@ def _active_tape():
 
 
 class Tensor:
-    """Rank-4 array (N, C, H, W) with an optional gradient buffer."""
+    """Rank-4 array (N, C, H, W) with an optional gradient buffer; a taped op
+    output's is in ``node``, its holder on the tape."""
 
-    __slots__ = ("data", "requires_grad", "grad")
+    __slots__ = ("data", "requires_grad", "node", "_grad")
 
     def __init__(self, data, requires_grad=False):
         data = np.asarray(data)
@@ -69,7 +80,15 @@ class Tensor:
             raise InvalidShape(f"all extents must be >= 1, got {data.shape}")
         self.data = data
         self.requires_grad = requires_grad
-        self.grad = None
+        self.node = self._grad = None
+
+    @property
+    def grad(self):
+        return (self.node or self)._grad
+
+    @grad.setter
+    def grad(self, g):
+        (self.node or self)._grad = g
 
     @property
     def shape(self):
@@ -102,14 +121,16 @@ def _accum(t: Tensor, g: np.ndarray):
 
 
 def _op(data, bwd, *inputs):
-    """Wrap an op's output; if a tape is live and some input requires a
-    gradient, so does the output, and ``(out, bwd)`` goes on the tape.  None
-    inputs (an absent bias) are skipped."""
+    """Wrap an op's output.  If a tape is live and some input requires a gradient,
+    so does the output, and the tape gets its holder and a backward that calls
+    ``bwd(g, *holders)``, the inputs' holders in order (None for an absent bias)."""
     tape = _active_tape()
-    out = Tensor(data, requires_grad=tape is not None
-                 and any(t is not None and t.requires_grad for t in inputs))
-    if out.requires_grad:
-        tape.nodes.append((out, bwd))
+    out = Tensor(data)
+    if tape is not None and any(t is not None and t.requires_grad for t in inputs):
+        out.requires_grad = True
+        out.node = Tensor(np.ndarray(data.shape, data.dtype, _ZERO, strides=(0,) * 4), True)
+        holders = [t if t is None else t.node or t for t in inputs]
+        tape.nodes.append((out.node, lambda g: bwd(g, *holders)))
     return out
 
 
@@ -120,9 +141,9 @@ def backward(loss: Tensor, tape: Tape):
     if loss.grad is None:
         loss.grad = np.zeros_like(loss.data)
     loss.grad += 1.0
-    for out, fn in reversed(tape.nodes):
-        if out.grad is not None:
-            fn(out.grad)
+    for node, fn in reversed(tape.nodes):
+        if node.grad is not None:
+            fn(node.grad)
 
 
 # ---------------------------------------------------------------------------
@@ -175,7 +196,7 @@ def _reduce_to(g, axes):
 def add(a: Tensor, b: Tensor) -> Tensor:
     axes = _bcast_check(a, b)
 
-    def bwd(g):
+    def bwd(g, a, b):
         _accum(a, g)
         _accum(b, _reduce_to(g, axes))
 
@@ -185,7 +206,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 def sub(a: Tensor, b: Tensor) -> Tensor:
     axes = _bcast_check(a, b)
 
-    def bwd(g):
+    def bwd(g, a, b):
         _accum(a, g)
         _accum(b, -_reduce_to(g, axes))
 
@@ -194,45 +215,46 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     axes = _bcast_check(a, b)
+    ad, bd = a.data, b.data
 
-    def bwd(g):
-        _accum(a, g * b.data)
-        _accum(b, _reduce_to(g * a.data, axes))
+    def bwd(g, a, b):
+        _accum(a, g * bd)
+        _accum(b, _reduce_to(g * ad, axes))
 
-    return _op(a.data * b.data, bwd, a, b)
+    return _op(ad * bd, bwd, a, b)
 
 
 def div(a: Tensor, b: Tensor) -> Tensor:
     if a.shape != b.shape:
         raise ShapeMismatch(f"div needs equal shapes, got {a.shape} vs {b.shape}")
+    ad, bd = a.data, b.data
 
-    def bwd(g):
-        _accum(a, g / b.data)
-        _accum(b, -g * a.data / (b.data * b.data))
+    def bwd(g, a, b):
+        _accum(a, g / bd)
+        _accum(b, -g * ad / (bd * bd))
 
-    return _op(a.data / b.data, bwd, a, b)
+    return _op(ad / bd, bwd, a, b)
 
 
 def scale(a: Tensor, c) -> Tensor:
     c = float(c)
-    return _op(a.data * c, lambda g: _accum(a, g * c), a)
+    return _op(a.data * c, lambda g, a: _accum(a, g * c), a)
 
 
 def add_scalar(a: Tensor, c) -> Tensor:
-    return _op(a.data + float(c), lambda g: _accum(a, g), a)
+    return _op(a.data + float(c), lambda g, a: _accum(a, g), a)
 
 
 def rsub_scalar(a: Tensor, c) -> Tensor:
     """c - a."""
-    return _op(float(c) - a.data, lambda g: _accum(a, -g), a)
+    return _op(float(c) - a.data, lambda g, a: _accum(a, -g), a)
 
 
 def power(a: Tensor, exponent) -> Tensor:
     """Elementwise a**e for a >= 0; subgradient 0 where a == 0 and e < 1."""
-    e = float(exponent)
+    e, base = float(exponent), a.data
 
-    def bwd(g):
-        base = a.data
+    def bwd(g, a):
         d = np.zeros_like(base)
         nz = base > 0
         d[nz] = e * np.power(base[nz], e - 1.0)
@@ -240,13 +262,13 @@ def power(a: Tensor, exponent) -> Tensor:
             d[~nz] = 0.0 if e > 1.0 else e
         _accum(a, g * d)
 
-    return _op(np.power(a.data, e), bwd, a)
+    return _op(np.power(base, e), bwd, a)
 
 
 def tsum(a: Tensor) -> Tensor:
     """Sum of all elements, as a (1,1,1,1) tensor."""
     return _op(a.data.sum().reshape(1, 1, 1, 1),
-               lambda g: _accum(a, np.broadcast_to(g, a.shape)), a)
+               lambda g, a: _accum(a, np.broadcast_to(g, a.shape)), a)
 
 
 # ---------------------------------------------------------------------------
@@ -296,14 +318,15 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor | None = None,
     (win_o, crop_o), (win_i, crop_i) = (
         ((every, outs), (every, ins)) if flat else ((outs, every), (ins, every)))
     tiles = kh == kw == s and d == 1 and p == 0
+    xd = x.data
 
     def blocks():
-        a = x.data[:, :, :hout * s, :wout * s].reshape(n, cin, hout, s, wout, s)
+        a = xd[:, :, :hout * s, :wout * s].reshape(n, cin, hout, s, wout, s)
         return a.transpose(1, 3, 5, 0, 2, 4).reshape(cin, s * s, n, hout, wout)
 
     def framed():
-        xp = np.zeros((cin, n * hp * wp + span), dtype=x.dtype)
-        _window(xp, 0, frame, ins)[...] = x.data.transpose(1, 0, 2, 3)
+        xp = np.zeros((cin, n * hp * wp + span), dtype=xd.dtype)
+        _window(xp, 0, frame, ins)[...] = xd.transpose(1, 0, 2, 3)
         return xp
 
     # The slices move the side with fewer channels.
@@ -318,7 +341,7 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor | None = None,
     if bias is not None:
         out += bias.data
 
-    def bwd(g):
+    def bwd(g, x, kernel, bias):
         if tiles:
             gp, unscale = _scaled(g.transpose(1, 0, 2, 3))
             gp = gp.reshape(cout, -1)
@@ -434,7 +457,7 @@ def max_pool2(x: Tensor) -> Tensor:
     q = [x.data[:, :, k // 2::2, k % 2::2] for k in range(4)]  # window corners, row-major
     out = np.maximum(np.maximum(q[0], q[1]), np.maximum(q[2], q[3]))
 
-    def bwd(g):
+    def bwd(g, x):
         gx = np.empty(x.shape, dtype=g.dtype)  # the four corners cover it
         free = np.ones(out.shape, dtype=bool)  # windows whose maximum is not yet taken
         nan = np.isnan(out).any()
@@ -453,7 +476,7 @@ def max_pool2(x: Tensor) -> Tensor:
 def global_avg_pool(x: Tensor) -> Tensor:
     h, w = x.shape[2:]
     return _op(x.data.mean(axis=(2, 3), keepdims=True),
-               lambda g: _accum(x, np.broadcast_to(g / (h * w), x.shape)), x)
+               lambda g, x: _accum(x, np.broadcast_to(g / (h * w), x.shape)), x)
 
 
 @functools.lru_cache(maxsize=32)
@@ -481,7 +504,7 @@ def upsample(x: Tensor, factor: int) -> Tensor:
     mh = _interp_matrix(f * h, h, x.data.dtype)
     mw = _interp_matrix(f * w, w, x.data.dtype)
 
-    def bwd(g):
+    def bwd(g, x):
         gs, unscale = _scaled(g)
         gx = np.matmul(np.matmul(mh.T, gs), mw)
         gx *= unscale
@@ -494,7 +517,8 @@ def upsample(x: Tensor, factor: int) -> Tensor:
 # activations / dense / concat
 
 def relu(x: Tensor) -> Tensor:
-    return _op(np.maximum(x.data, 0), lambda g: _accum(x, g * (x.data > 0)), x)
+    y = np.maximum(x.data, 0)  # y > 0 equals x > 0, NaN and -0 included: x need not be kept
+    return _op(y, lambda g, x: _accum(x, g * (y > 0)), x)
 
 
 def sigmoid(x: Tensor) -> Tensor:
@@ -505,7 +529,7 @@ def sigmoid(x: Tensor) -> Tensor:
     y[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
     ez = np.exp(z[~pos])
     y[~pos] = ez / (1.0 + ez)
-    return _op(y, lambda g: _accum(x, g * y * (1.0 - y)), x)
+    return _op(y, lambda g, x: _accum(x, g * y * (1.0 - y)), x)
 
 
 def dense(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
@@ -524,7 +548,7 @@ def dense(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
             raise ShapeMismatch(f"bias must be (1,{cout},1,1), got {bias.shape}")
         y = y + bias.data.reshape(1, cout)
 
-    def bwd(g):
+    def bwd(g, x, weight, bias):
         g2 = g.reshape(n, cout)
         _accum(x, (g2 @ w2).reshape(n, c, 1, 1))
         _accum(weight, (g2.T @ x2).reshape(cout, cin, 1, 1))
@@ -545,7 +569,7 @@ def concat_channels(xs) -> Tensor:
                 f"concat operands must share N,H,W: {xs[0].shape} vs {t.shape}")
     offsets = np.cumsum([0] + [t.shape[1] for t in xs])
 
-    def bwd(g):
+    def bwd(g, *xs):
         for t, lo, hi in zip(xs, offsets[:-1], offsets[1:]):
             _accum(t, g[:, lo:hi])
 

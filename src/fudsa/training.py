@@ -100,6 +100,11 @@ class TrainReport:
         return "\n".join(lines) + "\n"
 
 
+def all_finite(a):
+    """No NaN or infinity in ``a``: two reductions, and no temporary of its size."""
+    return math.isfinite(a.max()) and math.isfinite(a.min())
+
+
 def _stack(pairs, dtype):
     x = np.concatenate([p.image.data for p in pairs]).astype(dtype)
     y = np.concatenate([p.mask.data for p in pairs]).astype(dtype)
@@ -110,7 +115,8 @@ def evaluate(model: FudsaNet, dataset, loss_cfg: LossConfig | None = None, chunk
     """Pooled confusion counts over the whole set; no parameter mutation.
 
     The reported loss is the mean over images of the per-image supervised
-    focal Tversky loss.
+    focal Tversky loss.  A final map holding a NaN or an infinity, which no
+    threshold can turn into a mask, raises NumericalDivergence.
     """
     loss_cfg = loss_cfg or LossConfig()
     dtype = model.config.np_dtype
@@ -120,6 +126,9 @@ def evaluate(model: FudsaNet, dataset, loss_cfg: LossConfig | None = None, chunk
         pairs = dataset[c0:c0 + chunk]
         x, y = _stack(pairs, dtype)
         out = model(x)
+        if not all_finite(out.final_map.data):
+            raise NumericalDivergence(
+                f"non-finite final map for images {c0}..{c0 + len(pairs) - 1}")
         heads = out.heads()
         for i in range(len(pairs)):
             image_heads = [T.Tensor(h.data[i:i + 1]) for h in heads]
@@ -162,8 +171,8 @@ def train(model: FudsaNet, train_set, val_set, cfg: TrainConfig,
             batch = [train_set[i] for i in order[b0:b0 + cfg.batch_size]]
             x, y = _stack(batch, dtype)
             with T.Tape() as tape:
-                out = model(x)
-                loss = supervised_loss(out, y, cfg.loss)
+                # the heads alone: the other maps need not outlive the forward
+                loss = supervised_loss(model(x).heads(), y, cfg.loss)
                 value = loss.item()
                 if not np.isfinite(value):
                     raise NumericalDivergence(
@@ -305,6 +314,9 @@ def load_checkpoint(path):
                     read(key, p.data)
                 else:
                     p.data = read(key).astype(config.np_dtype)
+                if not all_finite(p.data):
+                    raise CorruptCheckpoint(
+                        f"{path}: parameter {name!r} holds a NaN or an infinity")
             state = None
             if "adam/t" in index:
                 state = AdamState([])
@@ -317,6 +329,8 @@ def load_checkpoint(path):
                                 f"{path}: {key} is {dt.name} {shape}, but parameter {name!r} "
                                 f"is {p.data.dtype.name} {p.shape}")
                         moments[name] = read(key).astype(config.np_dtype, copy=False)
+                        if not all_finite(moments[name]):
+                            raise CorruptCheckpoint(f"{path}: {key} holds a NaN or an infinity")
             return model, state
         except CorruptCheckpoint:
             raise

@@ -158,7 +158,7 @@ def test_gate_sums_its_inputs_once(monkeypatch, level):
     monkeypatch.setattr(T, "add", add)
     with T.Tape() as tape:
         gate(enc, dec)
-    assert sum(any(out is t for t in sums) for out, _ in tape.nodes) == level
+    assert sum(any(node is t.node for t in sums) for node, _ in tape.nodes) == level
 
 
 def test_spatial_only_pins_channel_gate():

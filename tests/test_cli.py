@@ -484,6 +484,46 @@ def test_damaged_checkpoint_exits_2_from_predict_and_eval(data_dir, tmp_path, ca
         assert capsys.readouterr().err.count(f"error: {ckpt}: ") == 2
 
 
+@pytest.mark.parametrize("entry, value", [("p/final_head.bias", np.nan),
+                                          ("m/final_head.bias", np.nan),
+                                          ("v/encoder.0.conv1.weight", np.inf)])
+def test_non_finite_checkpoint_entry_exits_2_from_predict_and_eval(data_dir, tmp_path, capsys,
+                                                                    entry, value):
+    # such a file once loaded, and predict wrote an all-zero mask and exited 0
+    model = FudsaNet(NetworkConfig(levels=2, base_channels=2))
+    ckpt = tmp_path / "m.ckpt"
+    save_checkpoint(model, AdamState(model.named_params()), ckpt)
+    blob = bytearray(ckpt.read_bytes())
+    struct.pack_into("<f", blob, blob.index(entry.encode()) + len(entry) + 12 + 4 * 8, value)
+    ckpt.write_bytes(bytes(blob))
+    image = data_dir / "images" / f"{D.read_manifest(data_dir / 'manifest.txt')[0][0]}.pgm"
+    assert run("predict", "--checkpoint", str(ckpt), "--image", str(image),
+               "--out", str(tmp_path / "o.pgm")) == 2
+    assert run("eval", "--data", str(data_dir), "--checkpoint", str(ckpt)) == 2
+    err = capsys.readouterr().err
+    assert err.count("holds a NaN or an infinity") == 2 and entry[2:] in err
+    assert not (tmp_path / "o.pgm").exists()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the forward overflows
+def test_non_finite_final_map_exits_3_from_predict_and_eval(data_dir, tmp_path, capsys):
+    # finite weights scaled by 1e10 give an all-NaN final map, which once
+    # thresholded to an empty mask
+    model = FudsaNet(NetworkConfig(levels=2, base_channels=4), seed=0)
+    for p in model.params():
+        p.data *= 1e10
+    ckpt = tmp_path / "m.ckpt"
+    save_checkpoint(model, None, ckpt)
+    image = data_dir / "images" / f"{D.read_manifest(data_dir / 'manifest.txt')[0][0]}.pgm"
+    assert run("predict", "--checkpoint", str(ckpt), "--image", str(image),
+               "--out", str(tmp_path / "o.pgm")) == 3
+    assert run("eval", "--data", str(data_dir), "--checkpoint", str(ckpt)) == 3
+    err = capsys.readouterr().err
+    assert "the final map holds a NaN or an infinity" in err
+    assert "non-finite final map for images 0.." in err
+    assert not (tmp_path / "o.pgm").exists()
+
+
 # ---------------------------------------------------------------------------
 # predict
 

@@ -1,6 +1,8 @@
+import gc
 import io
 import struct
 import tempfile
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -600,6 +602,55 @@ def test_relu_definition():
     assert np.array_equal(out.data[0, 0], [[0, 3], [0, 1]])
 
 
+RELU_EDGES = [np.nan, 0.0, -0.0, np.inf, -np.inf, 1e-40, -1e-40, 5e-324, -5e-324]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.one_of(st.sampled_from(RELU_EDGES), st.floats(width=32)),
+                min_size=1, max_size=24),
+       st.sampled_from([np.float32, np.float64]), st.integers(0, 2 ** 32 - 1))
+def test_relu_backward_is_the_input_mask(values, dtype, seed):
+    # the mask comes from relu's output, so it must equal x > 0 for every input,
+    # NaN, signed zeros, infinities and subnormals included
+    x = T.from_array(np.array(values, dtype=dtype), requires_grad=True)
+    g = np.random.default_rng(seed).normal(size=x.shape).astype(dtype)
+    grad, = _op_grads(lambda: T.relu(x), [x], g)
+    assert np.array_equal(grad, g * (x.data > 0))
+
+
+def test_tape_frees_values_that_no_backward_reads(rng):
+    # a conv output before its relu and an add output are read by no backward:
+    # once the caller drops them the arrays die, reference counting alone
+    # (no collector), and backward gives the same gradients
+    x = T.Tensor(rng.normal(size=(2, 3, 8, 8)).astype(np.float32))
+    c = T.Tensor(rng.normal(size=(2, 4, 8, 8)).astype(np.float32))
+    k = T.Tensor(rng.normal(size=(4, 3, 3, 3)).astype(np.float32), requires_grad=True)
+    b = T.Tensor(rng.normal(size=(1, 4, 1, 1)).astype(np.float32), requires_grad=True)
+
+    def grads(keep):
+        k.grad = b.grad = None
+        with T.Tape() as tape:
+            pre = T.conv2d(x, k, b, padding=1)
+            s = T.add(T.relu(pre), c)
+            loss = T.tsum(T.relu(s))
+            if not keep:
+                refs = [weakref.ref(_base(t.data)) for t in (pre, s)]
+                del pre, s
+                assert [r() for r in refs] == [None, None]
+        T.backward(loss, tape)
+        if keep:  # a taped output's gradient reads through its Tensor
+            assert s.grad is s.node.grad and np.array_equal(s.grad, s.data > 0)
+        return [k.grad, b.grad] + [node.grad for node, _ in tape.nodes]
+
+    gc.disable()
+    try:
+        dropped = grads(keep=False)
+    finally:
+        gc.enable()
+    for got, want in zip(dropped, grads(keep=True), strict=True):
+        assert np.array_equal(got, want)
+
+
 def test_sigmoid_extremes_stable():
     x = t64([[-100.0, 100.0], [-1000.0, 1000.0]])
     out = T.sigmoid(x)
@@ -699,7 +750,7 @@ def test_op_output_requires_grad_only_on_a_live_tape(rng):
     with T.Tape() as tape:
         y = T.mul(x, const)
         z = T.relu(const)
-    assert y.requires_grad and len(tape.nodes) == 1 and tape.nodes[0][0] is y
+    assert y.requires_grad and len(tape.nodes) == 1 and tape.nodes[0][0] is y.node
     assert not z.requires_grad
     assert not T.mul(x, const).requires_grad  # no tape is live
 
