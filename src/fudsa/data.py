@@ -86,11 +86,9 @@ def read_pgm(path):
     if not w or not h:
         raise InvalidArgument(f"{path}: PGM extents {w}x{h} hold no pixel")
     dtype = np.dtype(">u2") if maxval > 255 else np.dtype("u1")
-    need = w * h * dtype.itemsize
-    payload = blob[pos:pos + need]
-    if len(payload) != need:
+    if len(blob) - pos < w * h * dtype.itemsize:
         raise InvalidArgument(f"{path}: truncated PGM payload")
-    a = np.frombuffer(payload, dtype=dtype).reshape(h, w)
+    a = np.frombuffer(blob, dtype, count=w * h, offset=pos).reshape(h, w)  # no copy of the payload
     if a.max() > maxval:
         raise InvalidArgument(f"{path}: PGM sample {a.max()} above maxval {maxval}")
     return a.astype(np.uint16 if maxval > 255 else np.uint8), maxval

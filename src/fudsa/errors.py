@@ -22,7 +22,7 @@ class InvalidLabel(FudsaError):
 
 
 class InvalidState(FudsaError):
-    """Optimizer state no longer matches the parameters it was built for."""
+    """Optimizer state no longer matches its parameters, or a tape's backward already ran."""
 
 
 class CorruptCheckpoint(FudsaError):

@@ -9,7 +9,9 @@ d(loss)/d(t) into ``t.grad`` for every tensor that requires a gradient.
 A backward closure keeps the arrays it reads and its inputs' gradient
 holders, never an operand ``Tensor`` (a leaf is its own holder), so a value
 that no backward reads, such as a conv output before its relu, is freed as
-soon as the caller drops its ``Tensor``.
+soon as the caller drops its ``Tensor``.  ``backward`` drops each closure
+once it has run, so a saved array is freed as soon as the last closure that
+reads it has run; a tape runs backward once.
 
 Numerics are float32 by default; pass dtype=np.float64 for tight gradient
 checks.
@@ -24,7 +26,7 @@ import struct
 
 import numpy as np
 
-from .errors import InvalidArgument, InvalidShape, ShapeMismatch
+from .errors import InvalidArgument, InvalidShape, InvalidState, ShapeMismatch
 
 __all__ = [
     "Tensor", "Tape", "backward",
@@ -47,7 +49,8 @@ class Tape:
     backward)`` pair per taped op.  The holder is a Tensor with the output's
     gradient, over a zero-stride placeholder that holds no memory, and lives
     until the tape is dropped; the output's value only as long as its
-    ``Tensor`` or a backward closure that reads it.
+    ``Tensor`` or a backward closure that reads it.  ``backward`` swaps each
+    closure for ``_spent`` before it runs it, so backward runs once per tape.
     """
 
     def __init__(self):
@@ -134,14 +137,29 @@ def _op(data, bwd, *inputs):
     return out
 
 
+def _spent(g):
+    """Stands on the tape for a backward closure that has run."""
+    raise InvalidState("backward already ran on this tape")
+
+
 def backward(loss: Tensor, tape: Tape):
-    """Accumulate d(loss)/d(t) into .grad for every tensor on the tape that requires it."""
+    """Accumulate d(loss)/d(t) into .grad for every tensor on the tape that requires it.
+
+    Each closure is dropped (replaced by ``_spent``) as it runs, freeing what
+    no later closure reads; the holders keep their gradients.  A tape runs
+    backward once: a second call raises ``InvalidState`` and changes no gradient.
+    """
     if loss.shape != (1, 1, 1, 1):
         raise InvalidArgument(f"backward needs a scalar (1,1,1,1) loss, got {loss.shape}")
+    nodes = tape.nodes
+    if nodes and nodes[-1][1] is _spent:  # backward replaces the last entry first
+        _spent(None)
     if loss.grad is None:
         loss.grad = np.zeros_like(loss.data)
     loss.grad += 1.0
-    for node, fn in reversed(tape.nodes):
+    for i in range(len(nodes) - 1, -1, -1):
+        node, fn = nodes[i]
+        nodes[i] = node, _spent
         if node.grad is not None:
             fn(node.grad)
 

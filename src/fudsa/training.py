@@ -178,6 +178,7 @@ def train(model: FudsaNet, train_set, val_set, cfg: TrainConfig,
                     raise NumericalDivergence(
                         f"non-finite loss at epoch {epoch}, batch {b0 // cfg.batch_size}")
                 T.backward(loss, tape)
+            del tape, loss  # the tape's gradients need not outlive the step
             adam_step(params, state, cfg)
             model.zero_grad()
             batch_losses.append(value)

@@ -1,10 +1,11 @@
 import math
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from fudsa import data as D
 from fudsa import tensor as T
@@ -310,6 +311,27 @@ def test_pgm_damaged_bytes_read_back_or_raise(data):
             D.write_pgm(path, got, got_max)
             again, again_max = D.read_pgm(path)
             assert again_max == got_max and np.array_equal(again, got)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(1, 600), st.integers(1, 600), st.sampled_from([255, 65535]))
+@example(512, 512, 255)
+@example(512, 512, 65535)
+def test_pgm_read_peaks_below_two_copies_of_the_file(h, w, maxval):
+    # the file's bytes and the returned array: the payload is not copied out first
+    a = np.random.default_rng(h * w).integers(0, maxval + 1, (h, w))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "x.pgm"
+        D.write_pgm(path, a, maxval)
+        size = path.stat().st_size
+        tracemalloc.start()
+        try:
+            got, got_max = D.read_pgm(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak <= 2 * size + 8192, (peak, size)  # the constant: file object and header bytes
+    assert got_max == maxval and np.array_equal(got, a)
 
 
 def test_raw_slice_roundtrip_preserves_negative_hu(tmp_path):

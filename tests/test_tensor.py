@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fudsa import tensor as T
-from fudsa.errors import FudsaError, InvalidArgument, InvalidShape, ShapeMismatch
+from fudsa.errors import FudsaError, InvalidArgument, InvalidShape, InvalidState, ShapeMismatch
 from fudsa.layers import Conv2d
 
 from conftest import build, check_grads, uniform
@@ -648,6 +648,59 @@ def test_tape_frees_values_that_no_backward_reads(rng):
     finally:
         gc.enable()
     for got, want in zip(dropped, grads(keep=True), strict=True):
+        assert np.array_equal(got, want)
+
+
+def test_backward_frees_saved_arrays_once_their_closures_ran(rng):
+    # each relu output is read by its own backward and by the next conv's: it
+    # lives through the forward pass and dies, reference counting alone (no
+    # collector), once backward has run both; the gradients equal those of a
+    # run that pins every closure
+    x = T.Tensor(rng.normal(size=(2, 3, 8, 8)).astype(np.float32))
+    ks = [T.Tensor(rng.normal(size=(4, c, 3, 3)).astype(np.float32), requires_grad=True)
+          for c in (3, 4)]
+
+    def grads(pin):
+        for k in ks:
+            k.grad = None
+        with T.Tape() as tape:
+            h1 = T.relu(T.conv2d(x, ks[0], padding=1))
+            h2 = T.relu(T.conv2d(h1, ks[1], padding=1))
+            loss = T.tsum(h2)
+        refs = [weakref.ref(_base(t.data)) for t in (h1, h2)]
+        del h1, h2
+        pinned = list(tape.nodes) if pin else []
+        n = len(tape.nodes)
+        assert all(r() is not None for r in refs)
+        T.backward(loss, tape)
+        assert len(tape.nodes) == n
+        assert [r() is not None for r in refs] == [pin, pin]
+        del pinned
+        return [k.grad for k in ks] + [node.grad for node, _ in tape.nodes]
+
+    gc.disable()
+    try:
+        freed = grads(pin=False)
+    finally:
+        gc.enable()
+    for got, want in zip(freed, grads(pin=True), strict=True):
+        assert np.array_equal(got, want)
+
+
+def test_backward_twice_on_one_tape_raises(rng):
+    x = T.Tensor(rng.normal(size=(1, 2, 3, 3)), requires_grad=True)
+    with T.Tape() as tape:
+        loss = T.tsum(T.mul(x, x))
+    T.backward(loss, tape)
+
+    def grads():  # the loss's gradient is its holder's, on the tape
+        return [x.grad] + [node.grad for node, _ in tape.nodes]
+
+    first = [g.copy() for g in grads()]
+    with pytest.raises(InvalidState, match="backward already ran"):
+        T.backward(loss, tape)
+    assert loss.grad.item() == 1.0
+    for got, want in zip(grads(), first, strict=True):
         assert np.array_equal(got, want)
 
 
