@@ -209,7 +209,8 @@ def read_utf8(path):
 def read_manifest(path):
     """Returns (ids, split-or-None).  An id names files under the dataset's
     directories, so it cannot hold '/' or NUL, or be '.' or '..'."""
-    ids, split, section, seen = [], None, None, set()
+    ids, split, section, bit = [], None, None, 1
+    held = {}  # id -> the lists that hold it, as bits: 1 the ids, 2 train:, 4 val:
     for line in read_utf8(path).splitlines():
         line = line.strip()
         if not line:
@@ -225,22 +226,21 @@ def read_manifest(path):
         if line in ("train:", "val:"):
             if split is None:
                 raise InvalidArgument(f"{path}: {line!r} comes before the '# split seed=' line")
-            section = split.train_ids if line == "train:" else split.val_ids
+            section, bit = (split.train_ids, 2) if line == "train:" else (split.val_ids, 4)
             continue
         if "/" in line or "\0" in line or line in (".", ".."):
             raise InvalidArgument(f"{path}: id {line!r} is not a plain file name")
-        listed = ids if section is None else section
-        if (id(listed), line) in seen:  # an id may appear once per list
+        if held.get(line, 0) & bit:  # an id may appear once per list
             raise InvalidArgument(f"{path}: id {line!r} is listed twice")
-        seen.add((id(listed), line))
-        listed.append(line)
+        held[line] = held.get(line, 0) | bit
+        (ids if section is None else section).append(line)
     if split is not None:
-        both = set(split.train_ids) & set(split.val_ids)
+        both = sorted(i for i, bits in held.items() if bits & 6 == 6)
         if both:
-            raise InvalidArgument(f"{path}: ids under both train: and val: {sorted(both)}")
-        unknown = set(split.train_ids + split.val_ids) - set(ids)
+            raise InvalidArgument(f"{path}: ids under both train: and val: {both}")
+        unknown = sorted(i for i, bits in held.items() if bits & 6 and not bits & 1)
         if unknown:
-            raise InvalidArgument(f"{path}: split ids not listed above the split {sorted(unknown)}")
+            raise InvalidArgument(f"{path}: split ids not listed above the split {unknown}")
     return ids, split
 
 

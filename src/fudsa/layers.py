@@ -6,8 +6,8 @@ parameter, a Module is recursed into, and a list holds Modules named
 ``<attr>.<i>.``.
 
 Constructors take shapes only: every parameter is born a read-only float32
-zero that holds no memory, and ``initialise`` gives each one an array of its
-own, drawing the weights in ``named_params()`` order.
+zero that holds no memory, until ``initialise`` draws it or
+``training.load_checkpoint`` reads it into an array of its own.
 """
 
 from __future__ import annotations
@@ -40,9 +40,9 @@ class Module:
 def initialise(module, rng, dtype):
     """New ``dtype`` data for every parameter, in ``named_params()`` order: each weight
     He-normal draws from ``rng`` with std sqrt(2 / fan-in), fan-in = Cin*kH*kW (arXiv
-    1502.01852); biases, and every parameter when ``rng`` is None, zeros."""
+    1502.01852); each bias zeros."""
     for name, p in module.named_params():
-        if rng is not None and name.endswith("weight"):
+        if name.endswith("weight"):
             p.data = (rng.standard_normal(p.shape) * np.sqrt(2.0 / p.data[0].size)).astype(dtype)
         else:
             p.data = np.zeros(p.shape, dtype)

@@ -51,8 +51,8 @@ class NetworkConfig:
 
     def check_extent(self, h, w):
         """The encoder halves an input levels times: both extents need 2^levels as a factor."""
-        div = 1 << self.levels
-        if h % div or w % div:
+        lv = self.levels  # shifted out and back, never raised to 2^levels itself
+        if h >> lv << lv != h or w >> lv << lv != w:
             raise ShapeMismatch(f"input extents {h}x{w} must be divisible by 2^{self.levels}")
 
     def channels_at(self, level):
@@ -93,13 +93,15 @@ class _DecoderLevel(Module):
 class FudsaNet(Module):
     """The network, He-initialised from ``seed`` by ``layers.initialise``.
 
-    ``seed=None`` draws no random numbers: every parameter is a zero of the
-    config's dtype, for callers that load the parameters afterwards.
+    ``seed=None`` builds the shapes only: no parameter holds memory until
+    ``load_checkpoint`` reads each one into an array of its own.
     """
 
     def __init__(self, config: NetworkConfig, seed: int | None = 0):
-        widest = config.channels_at(config.levels + 1)
-        if widest > MAX_CHANNELS:  # checked before anything is allocated
+        wide = config.levels >= MAX_CHANNELS.bit_length()  # 2^levels alone is past the bound
+        widest = f"{config.base_channels} * 2^{config.levels}" if wide else \
+            config.channels_at(config.levels + 1)
+        if wide or widest > MAX_CHANNELS:  # checked before anything is built
             raise InvalidArgument(f"base_channels * 2^levels = {widest} channels at the "
                                   f"bottleneck; at most {MAX_CHANNELS} are allowed")
         cfg = self.config = config
@@ -112,7 +114,8 @@ class FudsaNet(Module):
         if cfg.deep_supervision:
             self.side_heads = [Conv2d(cfg.channels_at(level), 1, 1)
                                for level in range(2, cfg.levels + 1)]
-        initialise(self, None if seed is None else np.random.default_rng(seed), cfg.np_dtype)
+        if seed is not None:
+            initialise(self, np.random.default_rng(seed), cfg.np_dtype)
 
     def forward(self, x: T.Tensor) -> ForwardOutputs:
         cfg = self.config

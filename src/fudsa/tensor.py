@@ -662,13 +662,12 @@ def read_ften_header(fh, size):
     return dt, shape
 
 
-def read_ften_payload(fh, dt, shape, out=None):
-    """Read the payload after a header into ``out`` (C-contiguous) or a new array."""
-    if out is None:
-        try:
-            out = np.empty(shape, dtype=dt)
-        except ValueError as exc:  # an empty array with extents too big to index
-            raise InvalidArgument(f"unsupported FTEN shape: {exc}") from exc
+def read_ften_payload(fh, dt, shape):
+    """Read the payload after a header into a new array."""
+    try:
+        out = np.empty(shape, dtype=dt)
+    except ValueError as exc:  # an empty array with extents too big to index
+        raise InvalidArgument(f"unsupported FTEN shape: {exc}") from exc
     if fh.readinto(out.reshape(-1).view(np.uint8)) != out.nbytes:
         raise InvalidArgument("truncated FTEN payload")
     return out

@@ -13,7 +13,7 @@ import numpy as np
 from . import tensor as T
 from .errors import CorruptCheckpoint, InvalidArgument, InvalidState, NumericalDivergence
 from .losses import LossConfig, MetricsRecord, confusion_counts, supervised_loss
-from .network import INPUT_CHANNELS, FudsaNet, NetworkConfig
+from .network import FudsaNet, NetworkConfig
 
 
 @dataclass(frozen=True)
@@ -44,6 +44,7 @@ class AdamState:
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 MASK_THRESHOLD = 0.5  # a pixel is foreground where the final map is >= this
 MIN_DELTA = 1e-5  # an epoch improves when its val loss is below the best by more than this
+EVAL_CHUNK = 8  # images per forward in evaluate
 
 
 def adam_step(named_params, state: AdamState, cfg: TrainConfig):
@@ -111,7 +112,7 @@ def _stack(pairs, dtype):
     return T.Tensor(x), T.Tensor(y)
 
 
-def evaluate(model: FudsaNet, dataset, loss_cfg: LossConfig | None = None, chunk=8):
+def evaluate(model: FudsaNet, dataset, loss_cfg: LossConfig | None = None):
     """Pooled confusion counts over the whole set; no parameter mutation.
 
     The reported loss is the mean over images of the per-image supervised
@@ -122,8 +123,8 @@ def evaluate(model: FudsaNet, dataset, loss_cfg: LossConfig | None = None, chunk
     dtype = model.config.np_dtype
     tp = fp = fn = tn = 0
     losses = []
-    for c0 in range(0, len(dataset), chunk):
-        pairs = dataset[c0:c0 + chunk]
+    for c0 in range(0, len(dataset), EVAL_CHUNK):
+        pairs = dataset[c0:c0 + EVAL_CHUNK]
         x, y = _stack(pairs, dtype)
         out = model(x)
         if not all_finite(out.final_map.data):
@@ -235,19 +236,25 @@ def _config_from_entries(entries):
                                     f"is retired and only {keep} loads")
     values = {f.name: _entry_value(type(f.default), entries[f"cfg/{f.name}"].reshape(-1)[0])
               for f in fields(NetworkConfig) if f.name != "dtype"}
-    return NetworkConfig(**values, dtype="f64" if entries["cfg/f64"].reshape(-1)[0] else "f32")
+    f64 = _entry_value(bool, entries["cfg/f64"].reshape(-1)[0])
+    return NetworkConfig(**values, dtype="f64" if f64 else "f32")
 
 
 def _entry_value(kind, v):
-    """A stored float as ``kind``; an int field holding NaN, inf or a fraction is corrupt."""
+    """A stored float as ``kind``; an int field holding NaN, inf or a fraction, or a bool
+    field holding anything but 0 or 1, is corrupt."""
     if kind is int and not float(v).is_integer():
         raise InvalidArgument(f"integer config entry holds {float(v)}")
+    if kind is bool and v not in (0, 1):
+        raise InvalidArgument(f"boolean config entry holds {float(v)}; only 0 and 1 load")
     return kind(v)
 
 
 def save_checkpoint(model: FudsaNet, state: AdamState | None, path):
     entries = dict(_config_entries(model.config))
     for name, p in model.named_params():
+        if p.data.dtype != model.config.np_dtype:  # a shapes-only f64 model holds f32
+            raise InvalidArgument(f"parameter {name!r} is {p.data.dtype}, not {model.config.dtype}")
         entries[f"p/{name}"] = p.data
     if state is not None:
         entries["adam/t"] = np.full((1, 1, 1, 1), float(state.t), dtype=np.float64)
@@ -267,8 +274,8 @@ def load_checkpoint(path):
     """Rebuilds the model (and Adam state, if saved) from a FUD1 container.
 
     A first pass indexes the entry headers, each payload checked against the
-    file size.  Each parameter is then read into its buffer in a model built
-    without initialisation, and each Adam moment into one new array.
+    file size.  The model is then built as shapes only, and each parameter and
+    Adam moment gets the one array its payload is read into.
     """
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
@@ -289,19 +296,12 @@ def load_checkpoint(path):
             if fh.tell() != size:
                 raise CorruptCheckpoint(f"{path}: trailing bytes")
 
-            def read(name, out=None):
+            def read(name):
                 dt, shape, offset = index[name]
                 fh.seek(offset)
-                return T.read_ften_payload(fh, dt, shape, out)
+                return T.read_ften_payload(fh, dt, shape)
 
             config = _config_from_entries({n: read(n) for n in index if n.startswith("cfg/")})
-            # FudsaNet allocates by levels and base_channels: match them to the stored encoder first
-            first = index.get("p/encoder.0.conv1.weight")
-            if (first is None or first[1] != (config.base_channels, INPUT_CHANNELS, 3, 3)
-                    or f"p/encoder.{config.levels - 1}.conv1.weight" not in index
-                    or f"p/encoder.{config.levels}.conv1.weight" in index):
-                raise CorruptCheckpoint(f"{path}: cfg levels={config.levels}, base_channels="
-                                        f"{config.base_channels} do not match the stored encoder")
             model = FudsaNet(config, seed=None)
             for name, p in model.named_params():
                 key = f"p/{name}"
@@ -311,10 +311,7 @@ def load_checkpoint(path):
                 if shape != p.shape:
                     raise CorruptCheckpoint(
                         f"{path}: parameter {name!r} has shape {shape}, expected {p.shape}")
-                if dt == p.data.dtype:  # a stored '<f4' is float32 only on little-endian hosts
-                    read(key, p.data)
-                else:
-                    p.data = read(key).astype(config.np_dtype)
+                p.data = read(key).astype(config.np_dtype, copy=False)
                 if not all_finite(p.data):
                     raise CorruptCheckpoint(
                         f"{path}: parameter {name!r} holds a NaN or an infinity")

@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,6 +27,16 @@ def build(module, seed=0, dtype=np.float32):
     """``module`` initialised as ``FudsaNet`` initialises itself, from ``seed``."""
     initialise(module, np.random.default_rng(seed), dtype)
     return module
+
+
+def traced_peak(fn):
+    """tracemalloc peak of fn(), in bytes."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def fud1_records(blob):

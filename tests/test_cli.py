@@ -1,8 +1,10 @@
 import struct
+import tempfile
 from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from pathlib import Path
 
@@ -14,7 +16,7 @@ from fudsa.losses import LossConfig
 from fudsa.network import FudsaNet, NetworkConfig
 from fudsa.training import AdamState, TrainConfig, save_checkpoint
 
-from conftest import repeat_record
+from conftest import repeat_record, traced_peak
 
 
 def run(*argv):
@@ -110,6 +112,24 @@ def test_build_configs_defaults_are_the_dataclass_defaults():
 def test_config_comments_and_blanks_ok():
     values = cli.parse_config_text("# comment\n\nlevels=2  # trailing\n")
     assert values == {"levels": 2}
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 200), st.integers(0, 20000), st.booleans())
+@example(2, 20000, False)  # two-byte comment lines: the largest multiple measured
+@example(200, 20000, True)
+def test_config_read_peaks_within_a_multiple_of_the_file(width, count, bom):
+    comment = "#" + "x" * (width - 1) if width else ""
+    text = ("\ufeff" if bom else "") + (comment + "\n") * count \
+        + cli.render_config(NetworkConfig(), TrainConfig())
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "config.txt"
+        path.write_text(text, encoding="utf-8")
+        size = path.stat().st_size
+        peak = traced_peak(lambda: cli.parse_config_text(D.read_utf8(path)))
+        values = cli.parse_config_text(D.read_utf8(path))
+    assert peak <= 40 * size + 64 * 1024, (peak, size)
+    assert cli._build_configs(values) == (NetworkConfig(), TrainConfig())
 
 
 # ---------------------------------------------------------------------------
@@ -407,6 +427,16 @@ def test_train_levels_beyond_the_image_extent_exits_2(tmp_path, data_dir, capsys
     assert not (tmp_path / "o").exists()
 
 
+def test_train_levels_too_large_to_shift_by_exits_2(tmp_path, data_dir, capsys):
+    # 2^levels itself once died with a MemoryError traceback (exit 1)
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(f"levels={2 ** 40}\nmax_epochs=1\n")
+    assert run("train", "--data", str(data_dir), "--config", str(cfg),
+               "--out", str(tmp_path / "o")) == 2
+    assert f"input extents 32x32 must be divisible by 2^{2 ** 40}" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_train_non_finite_learning_rate_exits_2(tmp_path, data_dir, capsys):
     cfg = tmp_path / "cfg.txt"
     cfg.write_text("levels=2\nbase_channels=4\nmax_epochs=1\nlearning_rate=nan\n")
@@ -621,6 +651,21 @@ def test_predict_retired_checkpoint_entry_with_another_value_exits_2(tmp_path, c
     assert f"{entry} holds {held}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("entry", ["cfg/spatial_only", "cfg/f64"])
+def test_predict_boolean_checkpoint_entry_of_one_half_exits_2(tmp_path, capsys, entry):
+    # a spatial_only of 0.5 once loaded as variant I and predicted a different mask
+    blob = bytearray((Path(__file__).parent / "legacy" / "final.ckpt").read_bytes())
+    at = blob.index(entry.encode()) + len(entry) + 12 + 4 * 8  # past a rank-4 FTEN header
+    struct.pack_into("<d", blob, at, 0.5)
+    ckpt = tmp_path / "m.ckpt"
+    ckpt.write_bytes(bytes(blob))
+    D.write_image01(tmp_path / "i.pgm", np.zeros((16, 16)))
+    assert run("predict", "--checkpoint", str(ckpt), "--image", str(tmp_path / "i.pgm"),
+               "--out", str(tmp_path / "o.pgm")) == 2
+    assert "boolean config entry holds 0.5" in capsys.readouterr().err
+    assert not (tmp_path / "o.pgm").exists()
+
+
 # ---------------------------------------------------------------------------
 # gradcheck
 
@@ -647,6 +692,12 @@ def test_gradcheck_levels_beyond_size_exits_2(capsys):
     # checked before the model is built: levels=40 once tried to allocate GiBs
     assert run("gradcheck", "--levels", "40", "--size", "32") == 2
     assert "input extents 32x32 must be divisible by 2^40" in capsys.readouterr().err
+
+
+def test_gradcheck_levels_too_large_to_shift_by_exits_2(capsys):
+    # 2^levels itself once died with a MemoryError traceback (exit 1)
+    assert run("gradcheck", "--levels", str(2 ** 40)) == 2
+    assert f"input extents 32x32 must be divisible by 2^{2 ** 40}" in capsys.readouterr().err
 
 
 def test_gradcheck_width_beyond_the_bound_exits_2(capsys):

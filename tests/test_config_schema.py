@@ -113,7 +113,7 @@ def test_config_lines_build_configs_that_round_trip_or_raise(lines):
 def test_network_config_survives_save_load(net):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "m.ckpt"
-        save_checkpoint(FudsaNet(net, seed=None), None, path)
+        save_checkpoint(FudsaNet(net, seed=0), None, path)
         loaded, state = load_checkpoint(path)
     assert loaded.config == net and state is None
 

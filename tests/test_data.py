@@ -1,4 +1,5 @@
 import math
+import string
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -10,6 +11,8 @@ from hypothesis import example, given, settings, strategies as st
 from fudsa import data as D
 from fudsa import tensor as T
 from fudsa.errors import FudsaError, InvalidArgument, InvalidLabel
+
+from conftest import traced_peak
 
 
 # ---------------------------------------------------------------------------
@@ -209,6 +212,35 @@ def test_manifest_lines_parse_to_plain_ids_or_raise(lines):
         assert ident and ident == ident.strip() and not ident.startswith("#")
         assert ident not in (".", "..", "train:", "val:")
         assert "/" not in ident and "\0" not in ident
+
+
+def fixed_width_id(i, width):
+    """Id ``i`` as base-62 digits, left-padded with '0' to ``width`` characters."""
+    digits = string.digits + string.ascii_letters
+    out = ""
+    while True:
+        i, d = divmod(i, 62)
+        out = digits[d] + out
+        if not i:
+            return out.rjust(width, "0")
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 200), st.integers(1, 4000), st.booleans())
+@example(1, 62, True)
+@example(2, 2816, False)  # the largest multiple of the file size measured
+@example(2, 3000, True)  # 85x when each (list, id) pair was a tuple in one set
+@example(200, 3000, True)
+def test_manifest_read_peaks_within_a_multiple_of_the_file(width, count, with_split):
+    ids = [fixed_width_id(i, width) for i in range(min(count, 62 ** width))]
+    cut = len(ids) * 4 // 5
+    split = D.SplitManifest(ids[:cut], ids[cut:], 3) if with_split else None
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "manifest.txt"
+        D.write_manifest(path, ids, split)
+        size = path.stat().st_size
+        peak = traced_peak(lambda: D.read_manifest(path))
+    assert peak <= 40 * size + 64 * 1024, (peak, size)
 
 
 def test_manifest_without_split(tmp_path):

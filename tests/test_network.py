@@ -9,7 +9,7 @@ from fudsa.layers import Conv2d
 from fudsa.losses import LossConfig, supervised_loss
 from fudsa.network import FudsaNet, NetworkConfig, VARIANTS
 
-from conftest import build, uniform
+from conftest import build, traced_peak, uniform
 
 
 def small_cfg(**kw):
@@ -223,6 +223,24 @@ def test_width_is_bounded_before_allocation():
     with pytest.raises(InvalidArgument, match="1028 channels"):
         FudsaNet(NetworkConfig(levels=2, base_channels=257))
     FudsaNet(NetworkConfig(levels=2, base_channels=256), seed=None)  # exactly 1024 is allowed
+
+
+def test_levels_too_large_to_shift_by_are_bounded_without_2_to_the_levels():
+    # 1 << 2^40 once raised a bare MemoryError from both checks; the width message
+    # names no channel count it could not compute
+    cfg = NetworkConfig(levels=2 ** 40)
+
+    def check():
+        with pytest.raises(InvalidArgument,
+                           match=rf"= 16 \* 2\^{2 ** 40} channels at the bottleneck"):
+            FudsaNet(cfg)
+        with pytest.raises(ShapeMismatch, match=rf"divisible by 2\^{2 ** 40}"):
+            cfg.check_extent(2 ** 64, 32)
+
+    assert traced_peak(check) < 2 ** 20
+    with pytest.raises(InvalidArgument, match="2048 channels"):
+        FudsaNet(NetworkConfig(levels=10, base_channels=2))
+    FudsaNet(NetworkConfig(levels=10, base_channels=1), seed=None)  # 1024 at 2^10: allowed
 
 
 def test_variant_table():

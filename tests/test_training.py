@@ -1,7 +1,7 @@
 import functools
 import struct
 import tempfile
-import tracemalloc
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +19,7 @@ from fudsa.training import (AdamState, TrainConfig, adam_step, evaluate,
                             gradient_check, load_checkpoint, save_checkpoint,
                             train)
 
-from conftest import fud1_records, repeat_record
+from conftest import fud1_records, repeat_record, traced_peak
 
 SMALL = NetworkConfig(levels=2, base_channels=4)
 
@@ -278,11 +278,13 @@ def test_evaluate_pooled_differs_from_mean_per_image_dsc():
     assert abs(pooled - np.mean(per_image)) > 0.1
 
 
-def test_evaluate_chunking_invariance():
+def test_evaluate_chunking_invariance(monkeypatch):
     pairs = tiny_pairs(5)
     model = small_model(seed=2)
-    a, la = evaluate(model, pairs, chunk=2)
-    b, lb = evaluate(model, pairs, chunk=8)
+    monkeypatch.setattr(training, "EVAL_CHUNK", 2)
+    a, la = evaluate(model, pairs)
+    monkeypatch.setattr(training, "EVAL_CHUNK", 8)
+    b, lb = evaluate(model, pairs)
     assert (a.tp, a.fp, a.fn, a.tn) == (b.tp, b.fp, b.fn, b.tn)
     assert abs(la - lb) < 1e-6
 
@@ -348,15 +350,10 @@ def test_checkpoint_load_draws_no_random_numbers(tmp_path, monkeypatch):
     save_checkpoint(model, None, path)
 
     def forbidden(*args, **kwargs):
-        raise AssertionError("load_checkpoint drew random numbers")
+        raise AssertionError("load_checkpoint initialised or drew random numbers")
 
-    def initialise(module, rng, dtype):
-        if rng is not None:
-            forbidden()
-        real_initialise(module, rng, dtype)
-
-    real_initialise = network.initialise
-    monkeypatch.setattr(network, "initialise", initialise)
+    # every parameter gets its array from the file alone
+    monkeypatch.setattr(network, "initialise", forbidden)
     monkeypatch.setattr(np.random, "default_rng", forbidden)
     loaded, _ = load_checkpoint(path)
     for (name, p), (lname, lp) in zip(model.named_params(), loaded.named_params()):
@@ -406,16 +403,6 @@ MIB = 2 ** 20
 FEW_MIB = NetworkConfig(levels=3, base_channels=16)  # 3.0 MiB of f32 parameters
 
 
-def _peak(fn):
-    """tracemalloc peak of fn(), in bytes."""
-    tracemalloc.start()
-    try:
-        fn()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 @pytest.mark.parametrize("with_adam,factor", [(False, 1.1), (True, 3.1)])
 def test_checkpoint_load_peak_is_bounded_by_the_tensors_it_returns(tmp_path, with_adam,
                                                                     factor):
@@ -426,12 +413,12 @@ def test_checkpoint_load_peak_is_bounded_by_the_tensors_it_returns(tmp_path, wit
     assert nbytes > 2 * MIB
     path = tmp_path / "m.ckpt"
     save_checkpoint(model, AdamState(list(model.named_params())) if with_adam else None, path)
-    assert _peak(lambda: load_checkpoint(path)) <= factor * nbytes + MIB / 2
+    assert traced_peak(lambda: load_checkpoint(path)) <= factor * nbytes + MIB / 2
 
 
 def test_checkpoint_header_claiming_huge_payload_is_rejected_before_allocating(tmp_path):
     path = tmp_path / "m.ckpt"
-    save_checkpoint(FudsaNet(FEW_MIB, seed=None), None, path)
+    save_checkpoint(FudsaNet(FEW_MIB, seed=1), None, path)
     blob = bytearray(path.read_bytes())
     name = b"p/bottleneck.conv2.weight"
     at = blob.index(name) + len(name)
@@ -443,7 +430,7 @@ def test_checkpoint_header_claiming_huge_payload_is_rejected_before_allocating(t
         with pytest.raises(CorruptCheckpoint, match="truncated FTEN payload"):
             load_checkpoint(path)
 
-    assert _peak(load) < MIB
+    assert traced_peak(load) < MIB
 
 
 def _ften_header_bytes(blob):
@@ -540,24 +527,62 @@ def test_checkpoint_empty_config_entry_is_corrupt(tmp_path, name):
         load_checkpoint(path)
 
 
-@pytest.mark.parametrize("name,value", [(b"cfg/levels", 131072.0), (b"cfg/levels", 3.0),
-                                        (b"cfg/base_channels", 2.0 ** 20)])
-def test_checkpoint_geometry_checked_before_building(tmp_path, name, value):
-    # a large finite levels or channel count once made load_checkpoint allocate GiBs
+def _with_config_entry(tmp_path, name, value):
+    """A saved seeded 2-level model's checkpoint whose cfg/ entry ``name`` holds ``value``."""
     path = tmp_path / "c.ckpt"
     save_checkpoint(small_model(seed=3), None, path)
     blob = bytearray(path.read_bytes())
     at = blob.index(name) + len(name) + 12 + 4 * 8  # past the FTEN header of a rank-4 entry
     struct.pack_into("<d", blob, at, value)
     path.write_bytes(bytes(blob))
-    tracemalloc.start()
-    try:
-        with pytest.raises(CorruptCheckpoint, match="do not match the stored encoder"):
+    return path
+
+
+@pytest.mark.parametrize("name,value", [(b"cfg/levels", 131072.0), (b"cfg/levels", 2.0 ** 40),
+                                        (b"cfg/levels", 3.0), (b"cfg/base_channels", 2.0 ** 20)])
+def test_checkpoint_geometry_checked_before_building(tmp_path, name, value):
+    # a large finite levels or channel count once made load_checkpoint allocate GiBs, and
+    # levels=2^40 once died with a MemoryError computing 2^levels; a shapes-only model
+    # holds no parameter memory, so only the width bound and the stored shapes decide
+    path = _with_config_entry(tmp_path, name, value)
+
+    def load():
+        with pytest.raises(CorruptCheckpoint, match="at most 1024 are allowed|"
+                                                    "missing parameter 'encoder.2.conv1.weight'"):
             load_checkpoint(path)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 4 * 2 ** 20
+
+    assert traced_peak(load) < 4 * MIB
+
+
+# every boolean cfg/ entry: the flags, and the dtype stored as the flag f64
+BOOL_ENTRIES = [f"cfg/{f.name}".encode() for f in fields(NetworkConfig)
+                if isinstance(f.default, bool)] + [b"cfg/f64"]
+
+
+@pytest.mark.parametrize("value", [0.5, np.nan, 2.0])
+@pytest.mark.parametrize("name", BOOL_ENTRIES)
+def test_checkpoint_rejects_boolean_config_entry_other_than_0_or_1(tmp_path, name, value):
+    # 0.5, NaN and 2.0 once loaded as true: a spatial_only of 0.5 predicted as variant I
+    assert len(BOOL_ENTRIES) == 4
+    with pytest.raises(CorruptCheckpoint, match="boolean config entry holds .*only 0 and 1"):
+        load_checkpoint(_with_config_entry(tmp_path, name, value))
+
+
+def test_shapes_only_model_holds_no_parameter_memory():
+    # the default L4 C16 model has 12.25 MiB of parameters; seed=None allocates none of them
+    peak = traced_peak(lambda: FudsaNet(NetworkConfig(), seed=None))
+    assert peak < 256 * 2 ** 10
+    assert sum(p.data.nbytes for p in FudsaNet(NetworkConfig(), seed=0).params()) > 12 * MIB
+
+
+def test_save_checkpoint_rejects_a_parameter_of_another_dtype_before_opening(tmp_path):
+    # a shapes-only f64 model holds f32 placeholders: saving it would write f32 zeros
+    # under cfg/f64 = 1
+    path = tmp_path / "c.ckpt"
+    with pytest.raises(InvalidArgument, match="'encoder.0.conv1.weight' is float32, not f64"):
+        save_checkpoint(FudsaNet(NetworkConfig(levels=2, base_channels=4, dtype="f64"),
+                                 seed=None), None, path)
+    assert not path.exists()
 
 
 @pytest.mark.parametrize("moment, stored", [("m", np.zeros((1, 1, 1, 5), np.float32)),
