@@ -40,8 +40,9 @@ class AttentionGate(Module):
         # one match chain per encoder level i = 1..l; level i needs l-i+1 halvings
         self.match_chains = [MatchChain(channels[i], c, level - i) for i in range(level)]
         self.reduce = Conv2d(2 * c, c, 1)
-        self.sdc = SdcBlock(c)
-        self.mlp = MlpHead(c)
+        if not spatial_only:  # the channel branch
+            self.sdc = SdcBlock(c)
+            self.mlp = MlpHead(c)
         self.spatial_conv3 = Conv2d(c, c, 3, padding=1)
         self.spatial_conv1 = Conv2d(c, 1, 1)
 

@@ -1,11 +1,10 @@
 """FuDSA-Net assembly: encoder, bottleneck, attention-gated skips, and a
 residually connected, deeply supervised decoder.
 
-Ablation variants (structural toggles):
-  I   spatial attention only (channel gate pinned to 1)
-  II  no deep supervision (side heads absent)
-  III no decoder residual accumulation (projection convs kept but unused,
-      so invariance to them is testable)
+Ablation variants, each built without the parameters of what it leaves out:
+  I   spatial attention only (channel gate pinned to 1; no SDC block or MLP)
+  II  no deep supervision (no side heads)
+  III no decoder residual accumulation (no projection convs)
 """
 
 from __future__ import annotations
@@ -87,7 +86,8 @@ class _DecoderLevel(Module):
                                        spatial_only=cfg.spatial_only)
         self.block = ConvBlock(2 * c, c)
         # residual projections from every deeper decoder level m > level
-        self.proj = [Conv2d(cfg.channels_at(m), c, 1) for m in range(level + 1, cfg.levels + 1)]
+        self.proj = [Conv2d(cfg.channels_at(m), c, 1) for m in range(level + 1, cfg.levels + 1)
+                     if cfg.decoder_residuals]
 
 
 class FudsaNet(Module):
@@ -111,9 +111,8 @@ class FudsaNet(Module):
         self.bottleneck = ConvBlock(cfg.channels_at(cfg.levels), cfg.channels_at(cfg.levels + 1))
         self.decoder = [_DecoderLevel(cfg, level) for level in range(cfg.levels, 0, -1)]
         self.final_head = Conv2d(cfg.base_channels, 1, 1)
-        if cfg.deep_supervision:
-            self.side_heads = [Conv2d(cfg.channels_at(level), 1, 1)
-                               for level in range(2, cfg.levels + 1)]
+        self.side_heads = [Conv2d(cfg.channels_at(level), 1, 1)
+                           for level in range(2, cfg.levels + 1) if cfg.deep_supervision]
         if seed is not None:
             initialise(self, np.random.default_rng(seed), cfg.np_dtype)
 
@@ -136,20 +135,16 @@ class FudsaNet(Module):
             res = dl.attention(enc_maps[:level], g_next)
             attn[level] = res
             g = dl.block(T.concat_channels([res.gated, u]))
-            if cfg.decoder_residuals:
-                # project G^m at its own resolution, then upsample c channels: 1x1 conv
-                # and resampling commute, so the wide map never exists at this size
-                for conv, m in zip(dl.proj, range(level + 1, cfg.levels + 1)):
-                    g = T.add(g, T.upsample(conv(dec_maps[m]), 1 << (m - level)))
+            # project G^m at its own resolution, then upsample c channels: 1x1 conv
+            # and resampling commute, so the wide map never exists at this size
+            for conv, m in zip(dl.proj, range(level + 1, cfg.levels + 1)):
+                g = T.add(g, T.upsample(conv(dec_maps[m]), 1 << (m - level)))
             dec_maps[level] = g
             g_next = g
 
         final = T.sigmoid(self.final_head(dec_maps[1]))
-        sides = []
-        if cfg.deep_supervision:
-            for head, level in zip(self.side_heads, range(2, cfg.levels + 1)):
-                p = T.sigmoid(head(dec_maps[level]))
-                sides.append(T.upsample(p, 1 << (level - 1)))
+        sides = [T.upsample(T.sigmoid(head(dec_maps[level])), 1 << (level - 1))
+                 for head, level in zip(self.side_heads, range(2, cfg.levels + 1))]
         return ForwardOutputs(final, sides, enc_maps, attn, dec_maps)
 
     __call__ = forward

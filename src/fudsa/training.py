@@ -253,7 +253,9 @@ def _entry_value(kind, v):
 def save_checkpoint(model: FudsaNet, state: AdamState | None, path):
     entries = dict(_config_entries(model.config))
     for name, p in model.named_params():
-        if p.data.dtype != model.config.np_dtype:  # a shapes-only f64 model holds f32
+        if not p.data.flags.writeable:  # the placeholder of a shapes-only model
+            raise InvalidArgument(f"parameter {name!r} is a shape only; seed or load the model")
+        if p.data.dtype != model.config.np_dtype:
             raise InvalidArgument(f"parameter {name!r} is {p.data.dtype}, not {model.config.dtype}")
         entries[f"p/{name}"] = p.data
     if state is not None:
@@ -301,34 +303,30 @@ def load_checkpoint(path):
                 fh.seek(offset)
                 return T.read_ften_payload(fh, dt, shape)
 
+            def read_as(key, p):
+                """Entry ``key``, present, finite and of ``p``'s shape in the config's dtype."""
+                if key not in index:
+                    raise CorruptCheckpoint(f"{path}: missing {key}")
+                dt, shape, _ = index[key]
+                if shape != p.shape or dt != config.np_dtype:
+                    raise CorruptCheckpoint(f"{path}: {key} is {dt.name} {shape}, expected "
+                                            f"{np.dtype(config.np_dtype).name} {p.shape}")
+                a = read(key)
+                if not all_finite(a):
+                    raise CorruptCheckpoint(f"{path}: {key} holds a NaN or an infinity")
+                return a
+
             config = _config_from_entries({n: read(n) for n in index if n.startswith("cfg/")})
             model = FudsaNet(config, seed=None)
             for name, p in model.named_params():
-                key = f"p/{name}"
-                if key not in index:
-                    raise CorruptCheckpoint(f"{path}: missing parameter {name!r}")
-                dt, shape, _ = index[key]
-                if shape != p.shape:
-                    raise CorruptCheckpoint(
-                        f"{path}: parameter {name!r} has shape {shape}, expected {p.shape}")
-                p.data = read(key).astype(config.np_dtype, copy=False)
-                if not all_finite(p.data):
-                    raise CorruptCheckpoint(
-                        f"{path}: parameter {name!r} holds a NaN or an infinity")
+                p.data = read_as(f"p/{name}", p)
             state = None
             if "adam/t" in index:
                 state = AdamState([])
                 state.t = _entry_value(int, read("adam/t").reshape(-1)[0])
                 for name, p in model.named_params():
-                    for key, moments in ((f"m/{name}", state.m), (f"v/{name}", state.v)):
-                        dt, shape, _ = index[key]
-                        if shape != p.shape or dt.itemsize != p.data.dtype.itemsize:
-                            raise CorruptCheckpoint(
-                                f"{path}: {key} is {dt.name} {shape}, but parameter {name!r} "
-                                f"is {p.data.dtype.name} {p.shape}")
-                        moments[name] = read(key).astype(config.np_dtype, copy=False)
-                        if not all_finite(moments[name]):
-                            raise CorruptCheckpoint(f"{path}: {key} holds a NaN or an infinity")
+                    state.m[name] = read_as(f"m/{name}", p)
+                    state.v[name] = read_as(f"v/{name}", p)
             return model, state
         except CorruptCheckpoint:
             raise

@@ -166,11 +166,6 @@ def test_spatial_only_pins_channel_gate():
     enc, dec = make_inputs(level=2, base=4, seed=14)
     res = gate(enc, dec)
     assert np.all(res.channel_gate.data == 1.0)
-    # perturbing channel-branch parameters changes nothing
-    for p in list(gate.mlp.params()) + list(gate.sdc.params()):
-        p.data += 0.37
-    res2 = gate(enc, dec)
-    assert np.array_equal(res.gated.data, res2.gated.data)
 
 
 def test_attention_gradient_reaches_all_inputs_and_params():

@@ -1,8 +1,9 @@
 """One config schema: config.txt and the checkpoint's cfg/ entries follow the
-config dataclasses.  Golden digests pin the bytes written; they last moved
-when the retired options' lines and entries were dropped (the loss keys'
-lines most recently), and nothing else changed.  Files written before that
-still load (tests/legacy/)."""
+config dataclasses.  Golden digests pin the bytes written; they moved when
+the retired options' lines and entries were dropped (the loss keys' lines
+most recently), and the variant-I checkpoint's when variant I stopped
+building a channel branch.  Files written before that still load
+(tests/legacy/, and the variant-layout test in test_training.py)."""
 
 import hashlib
 import io
@@ -54,7 +55,7 @@ def test_checkpoint_golden_digests(tmp_path):
     adam_step(params, state, TrainConfig(learning_rate=1e-3))
     save_checkpoint(model, state, path)
     assert sha256(path.read_bytes()) == \
-        "cc36658561f6fd7a3a145f7dc4f75ab6b3e51872a9a83fc94dd7f3a3e64df5f7"
+        "cae90a2f585530e3de23c3660ba9b109e250116cbe95f201f5eeb067975fe7e0"
 
 
 positive = st.floats(1e-12, 1e3, allow_nan=False, allow_infinity=False)

@@ -548,7 +548,7 @@ def test_checkpoint_geometry_checked_before_building(tmp_path, name, value):
 
     def load():
         with pytest.raises(CorruptCheckpoint, match="at most 1024 are allowed|"
-                                                    "missing parameter 'encoder.2.conv1.weight'"):
+                                                    "missing p/encoder.2.conv1.weight"):
             load_checkpoint(path)
 
     assert traced_peak(load) < 4 * MIB
@@ -575,14 +575,63 @@ def test_shapes_only_model_holds_no_parameter_memory():
     assert sum(p.data.nbytes for p in FudsaNet(NetworkConfig(), seed=0).params()) > 12 * MIB
 
 
-def test_save_checkpoint_rejects_a_parameter_of_another_dtype_before_opening(tmp_path):
-    # a shapes-only f64 model holds f32 placeholders: saving it would write f32 zeros
-    # under cfg/f64 = 1
+@pytest.mark.parametrize("dtype", ["f32", "f64"])
+def test_save_checkpoint_rejects_a_shapes_only_model_before_opening(tmp_path, dtype):
+    # an f32 shapes-only model once saved as a valid all-zero model
     path = tmp_path / "c.ckpt"
-    with pytest.raises(InvalidArgument, match="'encoder.0.conv1.weight' is float32, not f64"):
-        save_checkpoint(FudsaNet(NetworkConfig(levels=2, base_channels=4, dtype="f64"),
+    with pytest.raises(InvalidArgument, match="'encoder.0.conv1.weight' is a shape only"):
+        save_checkpoint(FudsaNet(NetworkConfig(levels=2, base_channels=2, dtype=dtype),
                                  seed=None), None, path)
     assert not path.exists()
+
+
+def test_save_checkpoint_rejects_a_parameter_of_another_dtype_before_opening(tmp_path):
+    # f32 data in an f64 model would be written as f32 under cfg/f64 = 1
+    model = small_model(seed=3, dtype="f64")
+    model.encoder[0].conv1.weight.data = model.encoder[0].conv1.weight.data.astype(np.float32)
+    path = tmp_path / "c.ckpt"
+    with pytest.raises(InvalidArgument, match="'encoder.0.conv1.weight' is float32, not f64"):
+        save_checkpoint(model, None, path)
+    assert not path.exists()
+
+
+def test_checkpoint_parameter_of_another_width_is_corrupt(tmp_path):
+    # an f64 payload under an f32 config: save_checkpoint never writes one, so it is
+    # corrupt, as a moment of another width is, and not converted
+    path = tmp_path / "c.ckpt"
+    save_checkpoint(small_model(seed=3, dtype="f64"), None, path)
+    blob = bytearray(path.read_bytes())
+    struct.pack_into("<d", blob, blob.index(b"cfg/f64") + len(b"cfg/f64") + 12 + 4 * 8, 0.0)
+    path.write_bytes(bytes(blob))
+    with pytest.raises(CorruptCheckpoint, match=r"p/encoder.0.conv1.weight is float64 \(4, 1, 3, "
+                                                r"3\), expected float32 \(4, 1, 3, 3\)"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("variant, dropped, tensors", [
+    ("I", (b".attention.sdc.", b".attention.mlp."), 30), ("III", (b".proj.",), 6)])
+def test_checkpoint_of_the_older_variant_layout_loads(tmp_path, variant, dropped, tensors):
+    # I and III files written before those variants stopped building the channel branch
+    # and the residual projections hold p/, m/ and v/ entries for them: they load, and
+    # the entries are never read
+    cfg = NetworkConfig(levels=3, base_channels=4)
+    for name, c in (("new", cfg.with_variant(variant)), ("full", cfg)):
+        model = FudsaNet(c, seed=3)
+        save_checkpoint(model, AdamState(model.named_params()), tmp_path / f"{name}.ckpt")
+    new, full = ((tmp_path / f"{name}.ckpt").read_bytes() for name in ("new", "full"))
+    extra = [full[a:z] for a, at, z in fud1_records(full)
+             if any(d in full[a + 2:at] for d in dropped)]
+    assert len(extra) == 3 * tensors  # the p/, m/ and v/ entries of each
+    (count,) = struct.unpack_from("<I", new, 4)
+    (tmp_path / "old.ckpt").write_bytes(
+        new[:4] + struct.pack("<I", count + len(extra)) + new[8:] + b"".join(extra))
+    (a, sa), (b, sb) = (load_checkpoint(tmp_path / f"{n}.ckpt") for n in ("new", "old"))
+    x = T.Tensor(np.random.default_rng(4).uniform(0, 1, (1, 1, 16, 16)).astype(np.float32))
+    assert a(x).final_map.data.tobytes() == b(x).final_map.data.tobytes()
+    for (name, p), (lname, lp) in zip(a.named_params(), b.named_params(), strict=True):
+        assert name == lname and p.data.tobytes() == lp.data.tobytes()
+        assert sa.m[name].tobytes() == sb.m[name].tobytes()
+        assert sa.v[name].tobytes() == sb.v[name].tobytes()
 
 
 @pytest.mark.parametrize("moment, stored", [("m", np.zeros((1, 1, 1, 5), np.float32)),
