@@ -5,6 +5,8 @@ plain functions; when a ``Tape`` is active and an input requires a gradient,
 the output does too and the op appends a backward closure to the tape.
 ``backward(loss, tape)`` replays the tape in reverse and accumulates
 d(loss)/d(t) into ``t.grad`` for every tensor that requires a gradient.
+Gradients are handed over, not copied: ``t.grad`` may share memory with
+another tensor's or be a read-only view, so callers must not write into it.
 
 A backward closure keeps the arrays it reads and its inputs' gradient
 holders, never an operand ``Tensor`` (a leaf is its own holder), so a value
@@ -44,13 +46,13 @@ _ZERO = np.frombuffer(bytes(8))  # read-only; every holder's f32 or f64 placehol
 class Tape:
     """Ordered record of forward ops; reverse replay yields gradients.
 
-    Use as a context manager around a forward pass.  Tapes are single
-    threaded; one tape per training step.  ``nodes`` holds a ``(holder,
-    backward)`` pair per taped op.  The holder is a Tensor with the output's
-    gradient, over a zero-stride placeholder that holds no memory, and lives
-    until the tape is dropped; the output's value only as long as its
-    ``Tensor`` or a backward closure that reads it.  ``backward`` swaps each
-    closure for ``_spent`` before it runs it, so backward runs once per tape.
+    Use as a context manager around a forward pass; one tape per training
+    step, single threaded.  ``nodes`` holds a ``(holder, backward)`` pair per
+    taped op.  The holder, a Tensor over a zero-stride placeholder that holds
+    no memory, keeps the output's gradient (which may be a view of another
+    holder's) until the tape is dropped; the output's value lives only as
+    long as its ``Tensor`` or a closure that reads it.  ``backward`` swaps
+    each closure for ``_spent`` before it runs it, so it runs once per tape.
     """
 
     def __init__(self):
@@ -114,13 +116,10 @@ class Tensor:
 
 
 def _accum(t: Tensor, g: np.ndarray):
-    if not t.requires_grad:
-        return
-    if t.grad is None:
-        # one pass instead of zero-filling and adding; 0 + g, so -0 becomes +0 as before
-        t.grad = np.add(g, 0.0, out=np.empty_like(t.data))
-    else:
-        t.grad += g
+    """Hand ``g`` to ``t`` uncopied, shared or read-only as it may be; a second
+    gradient makes a new sum, so no stored gradient is ever written into."""
+    if t.requires_grad:
+        t.grad = g if t.grad is None else t.grad + g
 
 
 def _op(data, bwd, *inputs):
@@ -154,9 +153,7 @@ def backward(loss: Tensor, tape: Tape):
     nodes = tape.nodes
     if nodes and nodes[-1][1] is _spent:  # backward replaces the last entry first
         _spent(None)
-    if loss.grad is None:
-        loss.grad = np.zeros_like(loss.data)
-    loss.grad += 1.0
+    loss.grad = np.ones_like(loss.data) if loss.grad is None else loss.grad + 1.0
     for i in range(len(nodes) - 1, -1, -1):
         node, fn = nodes[i]
         nodes[i] = node, _spent

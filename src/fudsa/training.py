@@ -250,9 +250,21 @@ def _entry_value(kind, v):
     return kind(v)
 
 
+def _checked_entry(key, a, p, config):
+    """``a``, entry ``key`` of parameter ``p``, checked by the one rule that saving and
+    loading apply: ``p``'s shape in the config's dtype, and finite."""
+    want = np.dtype(config.np_dtype)
+    if a.shape != p.shape or a.dtype != want:
+        raise InvalidArgument(f"{key} is {a.dtype.name} {a.shape}, expected {want.name} {p.shape}")
+    if not all_finite(a):
+        raise InvalidArgument(f"{key} holds a NaN or an infinity")
+    return a
+
+
 def save_checkpoint(model: FudsaNet, state: AdamState | None, path):
     entries = dict(_config_entries(model.config))
-    for name, p in model.named_params():
+    params = dict(model.named_params())
+    for name, p in params.items():
         if not p.data.flags.writeable:  # the placeholder of a shapes-only model
             raise InvalidArgument(f"parameter {name!r} is a shape only; seed or load the model")
         if p.data.dtype != model.config.np_dtype:
@@ -260,10 +272,12 @@ def save_checkpoint(model: FudsaNet, state: AdamState | None, path):
         entries[f"p/{name}"] = p.data
     if state is not None:
         entries["adam/t"] = np.full((1, 1, 1, 1), float(state.t), dtype=np.float64)
+        if state.m.keys() != params.keys() or state.v.keys() != params.keys():
+            raise InvalidArgument("the Adam state's names are not the model's parameters")
         for name in state.m:
-            entries[f"m/{name}"] = state.m[name]
-            entries[f"v/{name}"] = state.v[name]
-    # dtypes are checked before the file is opened, so a bad entry leaves no partial file
+            for key, a in ((f"m/{name}", state.m[name]), (f"v/{name}", state.v[name])):
+                entries[key] = _checked_entry(key, a, params[name], model.config)
+    # entries are checked before the file is opened, so a bad one leaves no partial file
     records = [(name.encode(), T._ften_array(arr)) for name, arr in entries.items()]
     with open(path, "wb") as fh:
         fh.write(_CKPT_MAGIC + struct.pack("<I", len(records)))
@@ -298,38 +312,27 @@ def load_checkpoint(path):
             if fh.tell() != size:
                 raise CorruptCheckpoint(f"{path}: trailing bytes")
 
-            def read(name):
+            def read(name, p=None):
+                """Entry ``name``; for parameter ``p``, checked by ``_checked_entry``."""
+                if name not in index:
+                    raise CorruptCheckpoint(f"{path}: missing {name}")
                 dt, shape, offset = index[name]
                 fh.seek(offset)
-                return T.read_ften_payload(fh, dt, shape)
-
-            def read_as(key, p):
-                """Entry ``key``, present, finite and of ``p``'s shape in the config's dtype."""
-                if key not in index:
-                    raise CorruptCheckpoint(f"{path}: missing {key}")
-                dt, shape, _ = index[key]
-                if shape != p.shape or dt != config.np_dtype:
-                    raise CorruptCheckpoint(f"{path}: {key} is {dt.name} {shape}, expected "
-                                            f"{np.dtype(config.np_dtype).name} {p.shape}")
-                a = read(key)
-                if not all_finite(a):
-                    raise CorruptCheckpoint(f"{path}: {key} holds a NaN or an infinity")
-                return a
+                a = T.read_ften_payload(fh, dt, shape)
+                return a if p is None else _checked_entry(name, a, p, config)
 
             config = _config_from_entries({n: read(n) for n in index if n.startswith("cfg/")})
             model = FudsaNet(config, seed=None)
             for name, p in model.named_params():
-                p.data = read_as(f"p/{name}", p)
+                p.data = read(f"p/{name}", p)
             state = None
             if "adam/t" in index:
                 state = AdamState([])
                 state.t = _entry_value(int, read("adam/t").reshape(-1)[0])
                 for name, p in model.named_params():
-                    state.m[name] = read_as(f"m/{name}", p)
-                    state.v[name] = read_as(f"v/{name}", p)
+                    state.m[name] = read(f"m/{name}", p)
+                    state.v[name] = read(f"v/{name}", p)
             return model, state
-        except CorruptCheckpoint:
-            raise
         except (struct.error, KeyError, IndexError, UnicodeDecodeError, InvalidArgument) as exc:
             raise CorruptCheckpoint(f"{path}: {exc}") from exc
 

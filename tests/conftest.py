@@ -1,3 +1,4 @@
+import io
 import struct
 import tracemalloc
 
@@ -52,6 +53,16 @@ def fud1_records(blob):
         pos = spans[-1][2]
     assert pos == len(blob)
     return spans
+
+
+def replace_record(blob, name, array):
+    """FUD1 blob with entry ``name``'s record holding ``array`` instead, written as it
+    stands: the way to a file that ``save_checkpoint`` refuses to write."""
+    start, _, end = next(r for r in fud1_records(blob) if blob[r[0] + 2:r[1]] == name.encode())
+    ften = io.BytesIO()
+    T.write_ften(ften, array)
+    head = struct.pack("<H", len(name)) + name.encode()
+    return blob[:start] + head + ften.getvalue() + blob[end:]
 
 
 def repeat_record(blob, name):

@@ -16,7 +16,7 @@ from fudsa.losses import LossConfig
 from fudsa.network import FudsaNet, NetworkConfig
 from fudsa.training import AdamState, TrainConfig, save_checkpoint
 
-from conftest import repeat_record, traced_peak
+from conftest import repeat_record, replace_record, traced_peak
 
 
 def run(*argv):
@@ -492,10 +492,11 @@ def test_eval_missing_checkpoint(data_dir, tmp_path):
 def test_eval_checkpoint_with_misshapen_moment_exits_2(data_dir, tmp_path, capsys):
     # eval reads the Adam moments too: a wrong shape is a corrupt checkpoint
     model = FudsaNet(NetworkConfig(levels=2, base_channels=2))
-    state = AdamState(model.named_params())
-    state.m["final_head.bias"] = np.zeros((1, 1, 1, 5), dtype=np.float32)
-    save_checkpoint(model, state, tmp_path / "m.ckpt")
-    assert run("eval", "--data", str(data_dir), "--checkpoint", str(tmp_path / "m.ckpt")) == 2
+    ckpt = tmp_path / "m.ckpt"
+    save_checkpoint(model, AdamState(model.named_params()), ckpt)
+    ckpt.write_bytes(replace_record(ckpt.read_bytes(), "m/final_head.bias",
+                                    np.zeros((1, 1, 1, 5), dtype=np.float32)))
+    assert run("eval", "--data", str(data_dir), "--checkpoint", str(ckpt)) == 2
     assert "m/final_head.bias is float32 (1, 1, 1, 5)" in capsys.readouterr().err
 
 

@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 from fudsa import tensor as T
 from fudsa.errors import FudsaError, InvalidArgument, InvalidShape, InvalidState, ShapeMismatch
 from fudsa.layers import Conv2d
+from fudsa.training import central_differences
 
 from conftest import build, check_grads, uniform
 
@@ -787,6 +788,79 @@ def test_backward_accumulates(rng):
         with T.Tape() as tape:
             T.backward(T.tsum(x), tape)
     assert np.all(x.grad == 2.0)
+
+
+# Backward hands each gradient over uncopied, so holders share arrays; a
+# second gradient must make a new sum, never add into a shared array.
+
+def _fd_grad(make_loss, t, h=1e-6):
+    """d(make_loss())/d(t) by central differences at every element of t (f64)."""
+    coords = range(t.data.size)
+    return np.reshape(central_differences(lambda: make_loss().item(), t, coords, h), t.shape)
+
+
+def _leaves(rng, *shapes):
+    return [T.Tensor(rng.normal(size=s), requires_grad=True) for s in shapes]
+
+
+def test_add_and_concat_hand_their_gradient_over(rng):
+    a, b, z = _leaves(rng, (1, 2, 3, 3), (1, 2, 3, 3), (1, 1, 3, 3))
+    u, v = rng.normal(size=(1, 3, 3, 3)), rng.normal(size=(1, 2, 3, 3))
+
+    def graph():
+        s = T.add(a, b)
+        tail = T.tsum(T.mul(s, T.Tensor(v)))  # s's second gradient arrives after concat's
+        c = T.concat_channels([s, z])
+        return s, c, T.add(tail, T.tsum(T.mul(c, T.Tensor(u))))
+
+    with T.Tape() as tape:
+        s, c, loss = graph()
+        T.backward(loss, tape)
+    assert np.shares_memory(a.grad, s.grad) and np.shares_memory(b.grad, s.grad)
+    assert np.shares_memory(z.grad, c.grad)  # a view of the concat output's gradient
+    assert np.array_equal(c.grad, u)  # s's second gradient left the slice it got alone
+    assert np.array_equal(s.grad, u[:, :2] + v)
+    for t in (a, b, z):
+        assert np.allclose(t.grad, _fd_grad(lambda: graph()[2], t), rtol=1e-7, atol=1e-9)
+
+
+def test_second_gradient_is_a_new_sum_and_the_shared_array_keeps_its_value(rng):
+    # x reaches add first, so its first gradient is the array y's gradient is too
+    x, y, w = _leaves(rng, (1, 2, 3, 3), (1, 2, 3, 3), (1, 2, 3, 3))
+    u = rng.normal(size=(1, 2, 3, 3))
+
+    def graph():
+        m = T.mul(x, w)
+        s = T.add(x, y)
+        return s, T.add(T.tsum(T.mul(s, T.Tensor(u))), T.tsum(T.mul(m, m)))
+
+    with T.Tape() as tape:
+        s, loss = graph()
+        T.backward(loss, tape)
+    assert np.shares_memory(y.grad, s.grad) and not np.shares_memory(x.grad, y.grad)
+    assert np.array_equal(y.grad, u)
+    assert np.array_equal(x.grad, u + 2 * (x.data * w.data) * w.data)
+    for t in (x, y, w):
+        assert np.allclose(t.grad, _fd_grad(lambda: graph()[1], t), rtol=1e-7, atol=1e-9)
+
+
+def test_read_only_broadcast_gradient_accumulates(rng):
+    # global_avg_pool's backward runs first and hands x a read-only broadcast view
+    x, w = _leaves(rng, (2, 3, 4, 4), (2, 3, 4, 4))
+    u = rng.normal(size=(2, 3, 1, 1))
+
+    def loss():
+        m = T.mul(x, w)
+        return T.add(T.tsum(m), T.tsum(T.mul(T.global_avg_pool(x), T.Tensor(u))))
+
+    with T.Tape() as tape:
+        T.backward(loss(), tape)
+    assert np.allclose(x.grad, w.data + u / 16, rtol=1e-12, atol=0)
+    assert np.allclose(x.grad, _fd_grad(loss, x), rtol=1e-7, atol=1e-9)
+    x.zero_grad()
+    with T.Tape() as tape:
+        T.backward(T.tsum(T.global_avg_pool(x)), tape)
+    assert not x.grad.flags.writeable  # as handed over
 
 
 def test_backward_rejects_nonscalar():

@@ -14,12 +14,13 @@ from fudsa import tensor as T
 from fudsa import training
 from fudsa.errors import (CorruptCheckpoint, FudsaError, InvalidArgument, InvalidState,
                           NumericalDivergence)
+from fudsa.losses import supervised_loss
 from fudsa.network import FudsaNet, NetworkConfig, VARIANTS
 from fudsa.training import (AdamState, TrainConfig, adam_step, evaluate,
                             gradient_check, load_checkpoint, save_checkpoint,
                             train)
 
-from conftest import fud1_records, repeat_record, traced_peak
+from conftest import fud1_records, repeat_record, replace_record, traced_peak
 
 SMALL = NetworkConfig(levels=2, base_channels=4)
 
@@ -301,6 +302,27 @@ def test_evaluate_all_background_prediction_recall_zero():
                 p.data[...] = -50.0
     rec, _ = evaluate(model, pairs)
     assert rec.recall == 0.0 and rec.tp == 0
+
+
+def test_ablation32_train_step_peak_is_bounded():
+    # one full-model step at the criterion-6 geometry, traced as perfbench's peak_mib is:
+    # it reads 24.38 MiB, and 29.17 MiB with a backward that copies each gradient it stores
+    model = FudsaNet(NetworkConfig(levels=3, base_channels=8), seed=0)
+    params = list(model.named_params())
+    state, cfg = AdamState(params), TrainConfig(learning_rate=3e-4, batch_size=16)
+    pairs = [D.synth_phantom(100 + i, 32) for i in range(16)]
+    x, y = (T.Tensor(np.concatenate([getattr(p, k).data for p in pairs]).astype(np.float32))
+            for k in ("image", "mask"))
+
+    def step():
+        with T.Tape() as tape:
+            out = model(x)
+            T.backward(supervised_loss(out, y, cfg.loss), tape)
+        adam_step(params, state, cfg)
+        model.zero_grad()
+
+    step()  # the first step fills caches that later steps reuse
+    assert traced_peak(step) <= 25.5 * 2 ** 20
 
 
 # ---------------------------------------------------------------------------
@@ -638,13 +660,41 @@ def test_checkpoint_of_the_older_variant_layout_loads(tmp_path, variant, dropped
                                             ("v", np.zeros((1, 1, 1, 1), np.float64))],
                          ids=["m-shape", "v-width"])
 def test_checkpoint_moment_not_matching_its_parameter_is_corrupt(tmp_path, moment, stored):
-    # checked at load: a wrong shape once loaded and failed at the next adam_step
+    # checked at load: a wrong shape once loaded and failed at the next adam_step;
+    # save_checkpoint refuses such a moment, so the file is patched after saving
+    model = small_model(seed=3)
+    path = tmp_path / "c.ckpt"
+    save_checkpoint(model, AdamState(model.named_params()), path)
+    path.write_bytes(replace_record(path.read_bytes(), f"{moment}/final_head.bias", stored))
+    with pytest.raises(CorruptCheckpoint, match=f"{moment}/final_head.bias is {stored.dtype}"):
+        load_checkpoint(path)
+
+
+BIAS = "final_head.bias"
+OTHER_MODEL = NetworkConfig(levels=3, base_channels=4)
+
+
+@pytest.mark.parametrize("damage, message", [
+    (lambda s: s.v.update({BIAS: s.v[BIAS].astype(np.float64)}),
+     r"v/final_head.bias is float64 \(1, 1, 1, 1\), expected float32"),
+    (lambda s: s.m.update({BIAS: np.zeros((1, 1, 1, 5), np.float32)}),
+     r"m/final_head.bias is float32 \(1, 1, 1, 5\), expected float32"),
+    (lambda s: s.m["encoder.0.conv1.weight"].fill(np.nan),
+     "m/encoder.0.conv1.weight holds a NaN or an infinity"),
+    (lambda s: s.m.pop(BIAS), "names are not the model's parameters"),
+    (lambda s: s.v.update(AdamState(FudsaNet(OTHER_MODEL, seed=0).named_params()).v),
+     "names are not the model's parameters")],
+    ids=["v-width", "m-shape", "m-nan", "m-missing", "v-other-model"])
+def test_save_checkpoint_rejects_adam_state_that_would_not_load_before_opening(
+        tmp_path, damage, message):
+    # each such state was once written, and load_checkpoint then refused the file
     model = small_model(seed=3)
     state = AdamState(model.named_params())
-    getattr(state, moment)["final_head.bias"] = stored
-    save_checkpoint(model, state, tmp_path / "c.ckpt")
-    with pytest.raises(CorruptCheckpoint, match=f"{moment}/final_head.bias is {stored.dtype}"):
-        load_checkpoint(tmp_path / "c.ckpt")
+    damage(state)
+    path = tmp_path / "c.ckpt"
+    with pytest.raises(InvalidArgument, match=message):
+        save_checkpoint(model, state, path)
+    assert not path.exists()
 
 
 # ---------------------------------------------------------------------------
