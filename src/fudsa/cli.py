@@ -21,9 +21,10 @@ import numpy as np
 from . import data as D
 from . import tensor as T
 from .errors import FudsaError, InvalidArgument, NumericalDivergence
-from .losses import METRICS_CSV_HEADER, metrics_csv_row
-from .network import FudsaNet, NetworkConfig, VARIANTS
-from .training import (MASK_THRESHOLD, AdamState, TrainConfig, all_finite, evaluate,
+from .layers import MLP_REDUCTION, SDC_DILATIONS
+from .losses import METRICS_CSV_HEADER, LossConfig, metrics_csv_row
+from .network import INPUT_CHANNELS, FudsaNet, NetworkConfig, VARIANTS
+from .training import (MASK_THRESHOLD, MIN_DELTA, TrainConfig, all_finite, evaluate,
                        gradient_check, load_checkpoint, save_checkpoint, train)
 
 # config.txt keys are the config fields, in field order; each parses as its default's type
@@ -32,9 +33,10 @@ _KEY_TYPES = {f.name: type(f.default) for f in fields(NetworkConfig) + fields(Tr
 # retired option -> the config.txt text that remains (None: never written); files written
 # before the removal load, and any other value is an error
 RETIRED = {"upsample_mode": "bilinear", "channel_branch_includes_sl": "false",
-           "side_weights": None, "input_channels": "1", "reduction": "4",
-           "sdc_dilations": "1,2,4", "min_delta": "1e-05", "alpha": "0.7", "beta": "0.3",
-           "gamma": "1.3333333333333333", "smooth": "1e-06"}
+           "side_weights": None, "input_channels": str(INPUT_CHANNELS),
+           "reduction": str(MLP_REDUCTION), "sdc_dilations": ",".join(map(str, SDC_DILATIONS)),
+           "min_delta": str(MIN_DELTA),
+           **{f.name: str(f.default) for f in fields(LossConfig)}}
 
 
 def _parse_value(kind, raw):
@@ -173,7 +175,8 @@ def cmd_train(args):
 
     report = train(model, train_set, val_set, replace(tr_cfg, seed=tr_cfg.seed + 3),
                    log=log if args.verbose else None)
-    save_checkpoint(model, AdamState(model.named_params()), out / "best.ckpt")
+    # no optimizer state: the best epoch's moments are not kept
+    save_checkpoint(model, None, out / "best.ckpt")
     save_checkpoint(model, None, out / "final.ckpt")
     (out / "report.csv").write_text(report.csv())
     (out / "config.txt").write_text(render_config(net_cfg, tr_cfg),  # the seed as given

@@ -89,8 +89,9 @@ class MatchChain(Module):
     ``source`` down to the working resolution of level ``target``.
 
     Intermediate stages keep the source channel count; the last stage maps to
-    the target channel count.  Chain length is target - source + 2 halvings
-    (the encoder map at level l sits at twice the attention working size).
+    the target channel count.  Chain length is target - source + 1 halvings
+    for 1-based levels (the encoder map at level l sits at twice the attention
+    working size).
     """
 
     def __init__(self, src_ch, dst_ch, hops):

@@ -36,7 +36,7 @@ __all__ = [
     "add", "sub", "mul", "div", "scale", "add_scalar", "rsub_scalar", "power",
     "conv2d", "max_pool2", "global_avg_pool", "upsample", "relu", "sigmoid",
     "dense", "concat_channels", "tsum",
-    "write_ften", "read_ften", "read_ften_header", "read_ften_payload",
+    "write_ften", "read_ften", "read_ften_record",
 ]
 
 _TAPE_STACK: list["Tape"] = []
@@ -605,7 +605,10 @@ def write_ften(dest, array):
     The payload is written from the array's own memory when it is contiguous
     little-endian; a bad dtype raises before a path is opened.
     """
-    a = _ften_array(array)
+    a = array.data if isinstance(array, Tensor) else np.asarray(array)
+    if a.dtype not in (np.float32, np.float64):
+        raise InvalidArgument(f"FTEN stores f32/f64 only, got {a.dtype}")
+    a = np.ascontiguousarray(a, dtype=a.dtype.newbyteorder("<"))
     if not hasattr(dest, "write"):
         with open(dest, "wb") as fh:
             return write_ften(fh, a)
@@ -614,29 +617,21 @@ def write_ften(dest, array):
     dest.write(a.reshape(-1).view(np.uint8))
 
 
-def _ften_array(array):
-    """The array (or Tensor) as a contiguous little-endian f32/f64 array."""
-    a = array.data if isinstance(array, Tensor) else np.asarray(array)
-    if a.dtype not in (np.float32, np.float64):
-        raise InvalidArgument(f"FTEN stores f32/f64 only, got {a.dtype}")
-    return np.ascontiguousarray(a, dtype=a.dtype.newbyteorder("<"))
-
-
 def read_ften(path):
     """Read an FTEN record from a path into a numpy array."""
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
-        arr = read_ften_payload(fh, *read_ften_header(fh, size))
+        arr = read_ften_record(fh, size)
         if fh.tell() != size:
             raise InvalidArgument("trailing bytes after FTEN payload")
     return arr
 
 
-def read_ften_header(fh, size):
-    """Read the FTEN header at a binary file's position; returns (dtype, shape).
+def read_ften_record(fh, size):
+    """Read the FTEN record at a binary file's position into a new array.
 
-    Leaves ``fh`` at the payload, whose end is checked against ``size`` (the
-    file's length) before anything is allocated from the header.
+    The payload's end is checked against ``size`` (the file's length) before
+    anything is allocated from the header.
     """
     head = fh.read(12)
     if head[:4] != _FTEN_MAGIC or len(head) < 12:
@@ -656,11 +651,6 @@ def read_ften_header(fh, size):
     # Python ints: huge extents cannot wrap around
     if fh.tell() + math.prod(shape) * dt.itemsize > size:
         raise InvalidArgument("truncated FTEN payload")
-    return dt, shape
-
-
-def read_ften_payload(fh, dt, shape):
-    """Read the payload after a header into a new array."""
     try:
         out = np.empty(shape, dtype=dt)
     except ValueError as exc:  # an empty array with extents too big to index

@@ -12,8 +12,9 @@ import numpy as np
 
 from . import tensor as T
 from .errors import CorruptCheckpoint, InvalidArgument, InvalidState, NumericalDivergence
+from .layers import MLP_REDUCTION, SDC_DILATIONS
 from .losses import LossConfig, MetricsRecord, confusion_counts, supervised_loss
-from .network import FudsaNet, NetworkConfig
+from .network import INPUT_CHANNELS, FudsaNet, NetworkConfig
 
 
 @dataclass(frozen=True)
@@ -215,7 +216,8 @@ _CKPT_MAGIC = b"FUD1"
 # cfg/ entries of retired options -> the value that remains: checkpoints written before
 # the removal load, and any other value is corrupt
 RETIRED_ENTRIES = {"cfg/upsample_bilinear": 1.0, "cfg/channel_branch_includes_sl": 0.0,
-                   "cfg/input_channels": 1, "cfg/reduction": 4, "cfg/sdc_dilations": (1, 2, 4)}
+                   "cfg/input_channels": INPUT_CHANNELS, "cfg/reduction": MLP_REDUCTION,
+                   "cfg/sdc_dilations": SDC_DILATIONS}
 
 
 def _config_entries(cfg: NetworkConfig):
@@ -250,10 +252,12 @@ def _entry_value(kind, v):
     return kind(v)
 
 
-def _checked_entry(key, a, p, config):
-    """``a``, entry ``key`` of parameter ``p``, checked by the one rule that saving and
-    loading apply: ``p``'s shape in the config's dtype, and finite."""
-    want = np.dtype(config.np_dtype)
+def _checked_entry(entries, key, p, config):
+    """Entry ``key`` of parameter ``p``, checked by the format's one rule: present,
+    ``p``'s shape in the config's dtype, and finite."""
+    if key not in entries:
+        raise InvalidArgument(f"missing {key}")
+    a, want = entries[key], np.dtype(config.np_dtype)
     if a.shape != p.shape or a.dtype != want:
         raise InvalidArgument(f"{key} is {a.dtype.name} {a.shape}, expected {want.name} {p.shape}")
     if not all_finite(a):
@@ -261,37 +265,50 @@ def _checked_entry(key, a, p, config):
     return a
 
 
+def _from_entries(entries):
+    """The model, and the Adam state if ``adam/t`` is present, that FUD1 entries
+    {name: array} hold: the one reading of the format, which saving runs too.  The
+    arrays are kept, not copied; entries the model does not build are ignored."""
+    config = _config_from_entries(entries)
+    model = FudsaNet(config, seed=None)
+    for name, p in model.named_params():
+        p.data = _checked_entry(entries, f"p/{name}", p, config)
+    state = None
+    if "adam/t" in entries:
+        state = AdamState([])
+        state.t = _entry_value(int, entries["adam/t"].reshape(-1)[0])
+        for name, p in model.named_params():
+            state.m[name] = _checked_entry(entries, f"m/{name}", p, config)
+            state.v[name] = _checked_entry(entries, f"v/{name}", p, config)
+    return model, state
+
+
 def save_checkpoint(model: FudsaNet, state: AdamState | None, path):
-    entries = dict(_config_entries(model.config))
+    entries = _config_entries(model.config)
     params = dict(model.named_params())
     for name, p in params.items():
         if not p.data.flags.writeable:  # the placeholder of a shapes-only model
             raise InvalidArgument(f"parameter {name!r} is a shape only; seed or load the model")
-        if p.data.dtype != model.config.np_dtype:
-            raise InvalidArgument(f"parameter {name!r} is {p.data.dtype}, not {model.config.dtype}")
         entries[f"p/{name}"] = p.data
     if state is not None:
-        entries["adam/t"] = np.full((1, 1, 1, 1), float(state.t), dtype=np.float64)
         if state.m.keys() != params.keys() or state.v.keys() != params.keys():
             raise InvalidArgument("the Adam state's names are not the model's parameters")
+        entries["adam/t"] = np.full((1, 1, 1, 1), float(state.t), dtype=np.float64)
         for name in state.m:
-            for key, a in ((f"m/{name}", state.m[name]), (f"v/{name}", state.v[name])):
-                entries[key] = _checked_entry(key, a, params[name], model.config)
-    # entries are checked before the file is opened, so a bad one leaves no partial file
-    records = [(name.encode(), T._ften_array(arr)) for name, arr in entries.items()]
+            entries[f"m/{name}"], entries[f"v/{name}"] = state.m[name], state.v[name]
+    _from_entries(entries)  # load's reading, before opening: what would not load leaves no file
     with open(path, "wb") as fh:
-        fh.write(_CKPT_MAGIC + struct.pack("<I", len(records)))
-        for raw, arr in records:
-            fh.write(struct.pack("<H", len(raw)) + raw)
+        fh.write(_CKPT_MAGIC + struct.pack("<I", len(entries)))
+        for name, arr in entries.items():
+            fh.write(struct.pack("<H", len(name.encode())) + name.encode())
             T.write_ften(fh, arr)
 
 
 def load_checkpoint(path):
     """Rebuilds the model (and Adam state, if saved) from a FUD1 container.
 
-    A first pass indexes the entry headers, each payload checked against the
-    file size.  The model is then built as shapes only, and each parameter and
-    Adam moment gets the one array its payload is read into.
+    One pass reads each entry into an array of its own, its payload checked
+    against the file size first; ``_from_entries`` then builds the model.
     """
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
@@ -300,39 +317,16 @@ def load_checkpoint(path):
             raise CorruptCheckpoint(f"{path}: bad magic {head[:4]!r}")
         try:
             (count,) = struct.unpack("<I", head[4:])
-            index = {}  # name -> (dtype, shape, payload offset)
+            entries = {}
             for _ in range(count):
                 (nlen,) = struct.unpack("<H", fh.read(2))
                 name = fh.read(nlen).decode()
-                if name in index:  # else the later record would silently win
+                if name in entries:  # else the later record would silently win
                     raise CorruptCheckpoint(f"{path}: entry {name!r} is listed twice")
-                dt, shape = T.read_ften_header(fh, size)
-                index[name] = (dt, shape, fh.tell())
-                fh.seek(math.prod(shape) * dt.itemsize, os.SEEK_CUR)
+                entries[name] = T.read_ften_record(fh, size)
             if fh.tell() != size:
                 raise CorruptCheckpoint(f"{path}: trailing bytes")
-
-            def read(name, p=None):
-                """Entry ``name``; for parameter ``p``, checked by ``_checked_entry``."""
-                if name not in index:
-                    raise CorruptCheckpoint(f"{path}: missing {name}")
-                dt, shape, offset = index[name]
-                fh.seek(offset)
-                a = T.read_ften_payload(fh, dt, shape)
-                return a if p is None else _checked_entry(name, a, p, config)
-
-            config = _config_from_entries({n: read(n) for n in index if n.startswith("cfg/")})
-            model = FudsaNet(config, seed=None)
-            for name, p in model.named_params():
-                p.data = read(f"p/{name}", p)
-            state = None
-            if "adam/t" in index:
-                state = AdamState([])
-                state.t = _entry_value(int, read("adam/t").reshape(-1)[0])
-                for name, p in model.named_params():
-                    state.m[name] = read(f"m/{name}", p)
-                    state.v[name] = read(f"v/{name}", p)
-            return model, state
+            return _from_entries(entries)
         except (struct.error, KeyError, IndexError, UnicodeDecodeError, InvalidArgument) as exc:
             raise CorruptCheckpoint(f"{path}: {exc}") from exc
 

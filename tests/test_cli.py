@@ -14,7 +14,7 @@ from fudsa import tensor as T
 from fudsa.errors import InvalidArgument
 from fudsa.losses import LossConfig
 from fudsa.network import FudsaNet, NetworkConfig
-from fudsa.training import AdamState, TrainConfig, save_checkpoint
+from fudsa.training import AdamState, TrainConfig, load_checkpoint, save_checkpoint
 
 from conftest import repeat_record, replace_record, traced_peak
 
@@ -277,6 +277,11 @@ def test_train_writes_artifacts(trained):
         assert (trained / name).exists(), name
     report = (trained / "report.csv").read_text().splitlines()
     assert report[0] == "epoch,train_loss,val_loss,val_dsc,val_iou,val_recall"
+
+
+def test_train_best_checkpoint_holds_no_optimizer_state(trained):
+    # it once held freshly zeroed moments at t = 0, which no run had: 3x final.ckpt's size
+    assert load_checkpoint(trained / "best.ckpt")[1] is None
 
 
 def test_train_variant_flag_echoed_in_config(tmp_path, data_dir):

@@ -131,7 +131,7 @@ def fud1_entries(blob):
     for _ in range(count):
         (nlen,) = struct.unpack("<H", fh.read(2))
         name = fh.read(nlen).decode()
-        entries[name] = T.read_ften_payload(fh, *T.read_ften_header(fh, len(blob) - 8))
+        entries[name] = T.read_ften_record(fh, len(blob) - 8)
     assert fh.tell() == len(blob) - 8
     return entries
 

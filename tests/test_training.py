@@ -612,9 +612,54 @@ def test_save_checkpoint_rejects_a_parameter_of_another_dtype_before_opening(tmp
     model = small_model(seed=3, dtype="f64")
     model.encoder[0].conv1.weight.data = model.encoder[0].conv1.weight.data.astype(np.float32)
     path = tmp_path / "c.ckpt"
-    with pytest.raises(InvalidArgument, match="'encoder.0.conv1.weight' is float32, not f64"):
+    with pytest.raises(InvalidArgument, match=r"p/encoder.0.conv1.weight is float32 \(4, 1, 3, "
+                                              r"3\), expected float64"):
         save_checkpoint(model, None, path)
     assert not path.exists()
+
+
+@pytest.mark.parametrize("value", [np.nan, -np.inf])
+def test_save_checkpoint_rejects_a_non_finite_parameter_before_opening(tmp_path, value):
+    # such a model was once written, and load_checkpoint then refused the file as corrupt
+    model = small_model(seed=3)
+    model.encoder[0].conv1.weight.data[0, 0, 1, 1] = value
+    path = tmp_path / "c.ckpt"
+    with pytest.raises(InvalidArgument, match="p/encoder.0.conv1.weight holds a NaN or an "
+                                              "infinity"):
+        save_checkpoint(model, None, path)
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("key, damage", [
+    ("p/encoder.0.conv1.weight", lambda a: a.astype(np.float64)),
+    ("p/final_head.bias", lambda a: np.full_like(a, np.nan)),
+    ("m/final_head.bias", lambda a: np.zeros((1, 1, 1, 5), a.dtype)),
+    ("v/encoder.0.conv1.weight", lambda a: np.full_like(a, np.inf))],
+    ids=["p-width", "p-nan", "m-shape", "v-inf"])
+def test_save_and_load_refuse_the_same_damage_naming_the_same_entry(tmp_path, key, damage):
+    # save runs load's own reading of the entries, so neither accepts what the other refuses
+    model = small_model(seed=3)
+    state = AdamState(model.named_params())
+    path = tmp_path / "c.ckpt"
+    save_checkpoint(model, state, path)
+    kind, name = key.split("/", 1)
+    params = dict(model.named_params())
+    arrays = {"p": {n: p.data for n, p in params.items()}, "m": state.m, "v": state.v}[kind]
+    bad = damage(arrays[name])
+    path.write_bytes(replace_record(path.read_bytes(), key, bad))
+    with pytest.raises(CorruptCheckpoint) as loading:
+        load_checkpoint(path)
+
+    if kind == "p":
+        params[name].data = bad
+    else:
+        arrays[name] = bad
+    unsaved = tmp_path / "unsaved.ckpt"
+    with pytest.raises(InvalidArgument) as saving:
+        save_checkpoint(model, state, unsaved)
+    assert not unsaved.exists()
+    assert str(saving.value).startswith(f"{key} ")
+    assert str(loading.value) == f"{path}: {saving.value}"
 
 
 def test_checkpoint_parameter_of_another_width_is_corrupt(tmp_path):
