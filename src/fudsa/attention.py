@@ -14,6 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import tensor as T
 from .errors import ShapeMismatch
 from .layers import Conv2d, MatchChain, MlpHead, Module, SdcBlock
@@ -29,12 +31,10 @@ class AttentionResult:
 
 
 class AttentionGate(Module):
-    """Gate for level ``level`` with ``channels[i]`` channels at encoder level i+1."""
+    """Gate for level ``len(channels)``, with ``channels[i]`` channels at encoder level i+1."""
 
-    def __init__(self, level, channels, spatial_only=False):
-        if len(channels) != level:
-            raise ShapeMismatch(f"need {level} channel counts, got {len(channels)}")
-        self.level = level
+    def __init__(self, channels, spatial_only=False):
+        self.level = level = len(channels)
         self.spatial_only = spatial_only
         c = channels[-1]
         # one match chain per encoder level i = 1..l; level i needs l-i+1 halvings
@@ -60,7 +60,7 @@ class AttentionGate(Module):
             sums.append(T.add(sums[-1], s))
 
         if self.spatial_only:
-            w_cha = T.constant((e_l.shape[0], e_l.shape[1], 1, 1), 1.0, dtype=e_l.dtype)
+            w_cha = T.Tensor(np.ones((e_l.shape[0], e_l.shape[1], 1, 1), e_l.dtype))
             e_tilde = e_l
         else:
             # W_cha: SDC -> GAP -> MLP of the sum up to S^(l-1)

@@ -123,7 +123,7 @@ def cmd_preprocess(args):
     for ident in ids:
         hu = D.read_raw_slice(src / "images" / f"{ident}.pgm")
         img = D.window_and_normalize(hu, args.lo_hu, args.hi_hu)
-        mask = T.from_array(D.read_mask(src / "masks" / f"{ident}.pgm"))
+        mask = T.Tensor(D.read_mask(src / "masks" / f"{ident}.pgm")[np.newaxis, np.newaxis])
         pairs.append(D.resize_pair(D.SamplePair(img, mask, ident), args.size))
     pairs = D.filter_lesion_slices(pairs)
     split = D.split_dataset([p.identifier for p in pairs], args.seed + 1)
@@ -212,8 +212,8 @@ def cmd_predict(args):
         dump = Path(args.dump_attention)
         dump.mkdir(parents=True, exist_ok=True)
         for level, res in out.attn.items():
-            T.write_ften(dump / f"att_l{level}_wcha.ften", res.channel_gate)
-            T.write_ften(dump / f"att_l{level}_q.ften", res.spatial_gate)
+            T.write_ften(dump / f"att_l{level}_wcha.ften", res.channel_gate.data)
+            T.write_ften(dump / f"att_l{level}_q.ften", res.spatial_gate.data)
     print(f"wrote {args.out}")
     return 0
 

@@ -22,6 +22,7 @@ from .errors import InvalidArgument, InvalidLabel, ShapeMismatch
 HU_OFFSET = 32768
 DEFAULT_LO_HU = -1000.0
 DEFAULT_HI_HU = 170.0
+_F32_MAX = float(np.finfo(np.float32).max)
 
 
 @dataclass
@@ -135,11 +136,14 @@ def read_image01(path):
 # preprocessing
 
 def window_and_normalize(hu, lo_hu=DEFAULT_LO_HU, hi_hu=DEFAULT_HI_HU) -> T.Tensor:
-    """Clip an array of HU values to [lo, hi] and map it linearly onto [0, 1]."""
-    if not -np.inf < lo_hu < hi_hu < np.inf:  # false for NaN too
-        raise InvalidArgument(f"need finite lo_hu < hi_hu, got [{lo_hu}, {hi_hu}]")
+    """Clip an (H, W) array of HU values to [lo, hi] and map it linearly onto [0, 1].
+    The window is computed in float32: lo < hi must hold there, and the edges and width fit."""
+    if not (-_F32_MAX <= lo_hu < hi_hu <= _F32_MAX and hi_hu - lo_hu <= _F32_MAX  # false for NaN
+            and np.float32(lo_hu) < np.float32(hi_hu)):
+        raise InvalidArgument(f"need finite lo_hu < hi_hu in float32 (edges and width within "
+                              f"{_F32_MAX:.8g}), got [{lo_hu}, {hi_hu}]")
     v = np.clip(hu.astype(np.float32), lo_hu, hi_hu)
-    return T.from_array((v - lo_hu) / (hi_hu - lo_hu))
+    return T.Tensor(((v - lo_hu) / (hi_hu - lo_hu))[np.newaxis, np.newaxis])
 
 
 def _resize_bilinear(a, out_h, out_w):
@@ -164,7 +168,8 @@ def resize_pair(pair: SamplePair, target: int) -> SamplePair:
     img = _resize_bilinear(pair.image.data[0, 0], target, target)
     msk = _resize_nearest(pair.mask.data[0, 0], target, target)
     msk = (msk > 0.5).astype(msk.dtype)
-    return SamplePair(T.from_array(img), T.from_array(msk), pair.identifier)
+    return SamplePair(T.Tensor(img[np.newaxis, np.newaxis]), T.Tensor(msk[np.newaxis, np.newaxis]),
+                      pair.identifier)
 
 
 def filter_lesion_slices(pairs):
@@ -255,7 +260,8 @@ def load_pairs(root, ids):
         if pairs and img.shape != pairs[0].image.shape[2:]:  # batches stack a split's images
             raise ShapeMismatch(f"{ident}: image {img.shape} vs {pairs[0].identifier}'s "
                                 f"{pairs[0].image.shape[2:]}; a split holds one extent")
-        pairs.append(SamplePair(T.from_array(img), T.from_array(msk), ident))
+        pairs.append(SamplePair(T.Tensor(img[np.newaxis, np.newaxis]),
+                                T.Tensor(msk[np.newaxis, np.newaxis]), ident))
     return pairs
 
 
@@ -331,4 +337,4 @@ def synth_phantom_fields(seed, size, n_lesions_range=(1, 3), contrast_range=(0.1
 def synth_phantom(seed, size, n_lesions_range=(1, 3), contrast_range=(0.15, 0.45)) -> SamplePair:
     hu, mask, _ = synth_phantom_fields(seed, size, n_lesions_range, contrast_range)
     img = window_and_normalize(hu)
-    return SamplePair(img, T.from_array(mask), f"phantom{seed:06d}")
+    return SamplePair(img, T.Tensor(mask[np.newaxis, np.newaxis]), f"phantom{seed:06d}")

@@ -34,7 +34,7 @@ class Module:
 
     def zero_grad(self):
         for p in self.params():
-            p.zero_grad()
+            p.grad = None
 
 
 def initialise(module, rng, dtype):

@@ -82,7 +82,7 @@ class _DecoderLevel(Module):
     def __init__(self, cfg: NetworkConfig, level: int):
         c = cfg.channels_at(level)
         self.up_conv = Conv2d(2 * c, c, 3, padding=1)
-        self.attention = AttentionGate(level, [cfg.channels_at(i) for i in range(1, level + 1)],
+        self.attention = AttentionGate([cfg.channels_at(i) for i in range(1, level + 1)],
                                        spatial_only=cfg.spatial_only)
         self.block = ConvBlock(2 * c, c)
         # residual projections from every deeper decoder level m > level

@@ -15,8 +15,8 @@ soon as the caller drops its ``Tensor``.  ``backward`` drops each closure
 once it has run, so a saved array is freed as soon as the last closure that
 reads it has run; a tape runs backward once.
 
-Numerics are float32 by default; pass dtype=np.float64 for tight gradient
-checks.
+Ops compute in their inputs' dtype: the model runs float32, and float64
+arrays give tight gradient checks.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from .errors import InvalidArgument, InvalidShape, InvalidState, ShapeMismatch
 
 __all__ = [
     "Tensor", "Tape", "backward",
-    "zeros", "constant", "from_array",
     "add", "sub", "mul", "div", "scale", "add_scalar", "rsub_scalar", "power",
     "conv2d", "max_pool2", "global_avg_pool", "upsample", "relu", "sigmoid",
     "dense", "concat_channels", "tsum",
@@ -73,7 +72,8 @@ def _active_tape():
 
 class Tensor:
     """Rank-4 array (N, C, H, W) with an optional gradient buffer; a taped op
-    output's is in ``node``, its holder on the tape."""
+    output's is in ``node``, its holder on the tape.  ``Tensor(array)`` is the
+    one way to make one, and ``t.grad = None`` clears its gradient."""
 
     __slots__ = ("data", "requires_grad", "node", "_grad")
 
@@ -107,9 +107,6 @@ class Tensor:
         if self.data.size != 1:
             raise InvalidArgument("item() needs a scalar (1,1,1,1) tensor")
         return float(self.data.reshape(()))
-
-    def zero_grad(self):
-        self.grad = None
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, dtype={self.dtype}, requires_grad={self.requires_grad})"
@@ -159,33 +156,6 @@ def backward(loss: Tensor, tape: Tape):
         nodes[i] = node, _spent
         if node.grad is not None:
             fn(node.grad)
-
-
-# ---------------------------------------------------------------------------
-# creation
-
-def _check_shape(shape):
-    shape = tuple(int(e) for e in shape)
-    if len(shape) != 4:
-        raise InvalidShape(f"rank-4 shape required, got {shape}")
-    if any(e < 1 for e in shape):
-        raise InvalidShape(f"extents must be >= 1, got {shape}")
-    return shape
-
-
-def zeros(shape, dtype=np.float32, requires_grad=False):
-    return Tensor(np.zeros(_check_shape(shape), dtype=dtype), requires_grad=requires_grad)
-
-
-def constant(shape, value, dtype=np.float32, requires_grad=False):
-    return Tensor(np.full(_check_shape(shape), value, dtype=dtype), requires_grad=requires_grad)
-
-
-def from_array(a, requires_grad=False):
-    a = np.asarray(a)
-    while a.ndim < 4:
-        a = a[np.newaxis]
-    return Tensor(a, requires_grad=requires_grad)
 
 
 # ---------------------------------------------------------------------------
@@ -600,12 +570,12 @@ _CODES = {dt: code for code, dt in _DTYPES.items()}
 
 
 def write_ften(dest, array):
-    """Write an array (or Tensor) as a bit-exact FTEN record to a path or a binary file.
+    """Write an array as a bit-exact FTEN record to a path or a binary file.
 
     The payload is written from the array's own memory when it is contiguous
     little-endian; a bad dtype raises before a path is opened.
     """
-    a = array.data if isinstance(array, Tensor) else np.asarray(array)
+    a = np.asarray(array)
     if a.dtype not in (np.float32, np.float64):
         raise InvalidArgument(f"FTEN stores f32/f64 only, got {a.dtype}")
     a = np.ascontiguousarray(a, dtype=a.dtype.newbyteorder("<"))

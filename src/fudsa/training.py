@@ -277,6 +277,8 @@ def _from_entries(entries):
     if "adam/t" in entries:
         state = AdamState([])
         state.t = _entry_value(int, entries["adam/t"].reshape(-1)[0])
+        if state.t < 0:
+            raise InvalidArgument(f"adam/t holds {state.t}; a step count is >= 0")
         for name, p in model.named_params():
             state.m[name] = _checked_entry(entries, f"m/{name}", p, config)
             state.v[name] = _checked_entry(entries, f"v/{name}", p, config)

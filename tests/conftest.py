@@ -90,7 +90,7 @@ def check_grads(make_loss, tensors, h=1e-6, tol=1e-6, n=20, seed=0):
         err = np.abs(analytic - numeric) / np.maximum(1.0, np.abs(numeric))
         assert err.max() < tol, f"gradient mismatch: max rel err {err.max():.3e}"
     for t in tensors:
-        t.zero_grad()
+        t.grad = None
 
 
 @pytest.fixture

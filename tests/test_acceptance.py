@@ -79,7 +79,7 @@ def test_criterion_3_attention_properties():
             c1 = 4
             cfg = NetworkConfig(levels=3, base_channels=c1)
             chans = [cfg.channels_at(i + 1) for i in range(level)]
-            gate = build(AttentionGate(level, chans), seed=trial)
+            gate = build(AttentionGate(chans), seed=trial)
             c = cfg.channels_at(level)
             hh = 8
             encs = [T.Tensor(rng.standard_normal(
@@ -99,7 +99,7 @@ def test_criterion_3_attention_properties():
             # zeroing S^l leaves the channel branch untouched (the channel
             # sum excludes the own-level map) but changes the spatial branch
             if level > 1:
-                encs_zeroed = encs[:-1] + [T.zeros(encs[-1].shape)]
+                encs_zeroed = encs[:-1] + [T.Tensor(np.zeros(encs[-1].shape, np.float32))]
                 res0 = gate(encs_zeroed, dec)
                 np.testing.assert_array_equal(res0.channel_gate.data,
                                               res.channel_gate.data)
@@ -132,12 +132,9 @@ def test_criterion_4_loss_metric_oracles():
         p = np.full((1, 1, 4, 4), 0.5)
         # a vanishing smoothing term keeps TI at exactly 0.5 here
         sharp = LossConfig(smooth=1e-12)
-        ti = tversky_index(T.from_array(p.astype(np.float64)),
-                           T.from_array(ym.astype(np.float64)),
-                           smooth=sharp.smooth)
+        ti = tversky_index(T.Tensor(p), T.Tensor(ym), smooth=sharp.smooth)
         assert abs(ti.item() - 0.5) < 1e-9
-        ftl = focal_tversky(T.from_array(p.astype(np.float64)),
-                            T.from_array(ym.astype(np.float64)), sharp)
+        ftl = focal_tversky(T.Tensor(p), T.Tensor(ym), sharp)
         assert abs(ftl.item() - 0.5 ** 0.75) < 1e-9
 
 

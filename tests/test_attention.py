@@ -10,7 +10,7 @@ from conftest import build, check_grads, uniform
 
 def make_gate(level=2, base=4, seed=0, dtype=np.float64, **kw):
     channels = [base * 2 ** i for i in range(level)]
-    return build(AttentionGate(level, channels, **kw), seed, dtype), channels
+    return build(AttentionGate(channels, **kw), seed, dtype), channels
 
 
 def make_inputs(level=2, base=4, n=1, h=4, seed=1, dtype=np.float64):
@@ -59,7 +59,7 @@ def test_reduce_decoder_matches_1x1_loop_oracle():
 def test_reduce_decoder_rejects_wrong_channels():
     gate, _ = make_gate(level=2, base=4)
     with pytest.raises(ShapeMismatch):
-        gate.reduce(T.zeros((1, 6, 4, 4)))
+        gate.reduce(T.Tensor(np.zeros((1, 6, 4, 4))))
 
 
 def test_channel_gate_level1_uses_decoder_alone():
@@ -112,7 +112,7 @@ def test_spatial_gate_doubles_extents_and_ranges():
 def test_attention_annihilates_zero_encoder_map():
     gate, _ = make_gate(level=2, base=4)
     enc, dec = make_inputs(level=2, base=4)
-    enc[-1] = T.zeros(enc[-1].shape, dtype=np.float64)
+    enc[-1] = T.Tensor(np.zeros(enc[-1].shape))
     res = gate(enc, dec)
     assert np.all(res.gated.data == 0.0)
 

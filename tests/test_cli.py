@@ -255,9 +255,10 @@ def test_preprocess_rejects_empty_validation_split(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("option, value", [("--lo-hu", "nan"), ("--hi-hu", "inf"),
-                                           ("--lo-hu", "-inf")])
+                                           ("--lo-hu", "-inf"), ("--lo-hu", "-1e39")])
 def test_preprocess_non_finite_window_exits_2(raw_dir, tmp_path, capsys, option, value):
-    # a NaN bound once passed the lo < hi check and wrote all-zero images
+    # a NaN bound once passed the lo < hi check and wrote all-zero images, and a bound
+    # beyond float32's range wrote NaN images
     assert run("preprocess", "--in", str(raw_dir), "--out", str(tmp_path / "p"),
                "--size", "32", f"{option}={value}") == 2  # "-inf" alone reads as an option
     assert "need finite lo_hu < hi_hu" in capsys.readouterr().err

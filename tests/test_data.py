@@ -47,18 +47,29 @@ def test_window_rejects_inverted_bounds():
 
 
 @pytest.mark.parametrize("lo, hi", [(np.nan, 170.0), (-1000.0, np.nan), (-np.inf, 170.0),
-                                    (-1000.0, np.inf), (np.nan, np.nan)])
+                                    (-1000.0, np.inf), (np.nan, np.nan),
+                                    (-1e39, 1e39), (-3.4e38, 3.4e38), (3.41e38, 3.5e38),
+                                    (-1000.0, -999.99999)])
 def test_window_rejects_non_finite_bounds(lo, hi):
+    # the window is computed in float32: the last four once gave NaN or all-zero
+    # images, as an edge or the width overflowed it, or lo and hi met in it
     with pytest.raises(InvalidArgument, match="finite"):
         D.window_and_normalize(np.zeros((2, 2), dtype=np.int16), lo_hu=lo, hi_hu=hi)
+
+
+def test_window_near_the_float32_bound_maps_onto_0_1():
+    # a width of 3.4e38 is just within float32; every HU value lands on the midpoint
+    hu = np.array([[-32768, 0, 32767]], dtype=np.int16)
+    v = D.window_and_normalize(hu, -1.7e38, 1.7e38).data
+    assert v.dtype == np.float32 and np.array_equal(v, np.full((1, 1, 1, 3), 0.5))
 
 
 # ---------------------------------------------------------------------------
 # resizing
 
 def _pair(img, msk):
-    return D.SamplePair(T.from_array(img.astype(np.float32)),
-                        T.from_array(msk.astype(np.float32)), "p")
+    return D.SamplePair(T.Tensor(img.astype(np.float32)[np.newaxis, np.newaxis]),
+                        T.Tensor(msk.astype(np.float32)[np.newaxis, np.newaxis]), "p")
 
 
 def test_resize_identity_passthrough():

@@ -27,13 +27,13 @@ def test_conv_block_zero_params():
 def test_conv_block_channel_mismatch():
     block = build(ConvBlock(2, 4))
     with pytest.raises(ShapeMismatch):
-        block(T.zeros((1, 3, 8, 8)))
+        block(T.Tensor(np.zeros((1, 3, 8, 8))))
 
 
 def test_conv_block_preserves_spatial_extents():
     block = build(ConvBlock(2, 3))
     for hw in (8, 16, 32, 64):
-        assert block(T.zeros((1, 2, hw, hw))).shape == (1, 3, hw, hw)
+        assert block(T.Tensor(np.zeros((1, 2, hw, hw), np.float32))).shape == (1, 3, hw, hw)
 
 
 def test_conv_block_param_gradients():
@@ -85,7 +85,7 @@ def test_match_chain_shapes_exhaustive_l4():
             hops = l - i + 1
             chain = build(MatchChain(ci, cl, hops))
             h = 4 * 2 ** hops
-            out = chain(T.zeros((1, ci, h, h)))
+            out = chain(T.Tensor(np.zeros((1, ci, h, h), np.float32)))
             assert out.shape == (1, cl, 4, 4), (i, l)
 
 
@@ -118,7 +118,7 @@ def test_sdc_receptive_field_15x15():
     for conv in block.convs:
         conv.weight.data = np.abs(conv.weight.data) + 0.1  # keep relu open
         conv.bias.data[...] = 0.0
-    x = T.zeros((1, 1, 33, 33), dtype=np.float64)
+    x = T.Tensor(np.zeros((1, 1, 33, 33)))
     x.data[0, 0, 16, 16] = 1.0
     out = block(x).data[0, 0]
     nz = np.argwhere(out != 0)
@@ -130,7 +130,7 @@ def test_sdc_receptive_field_15x15():
 def test_sdc_spatial_preservation_sweep():
     block = build(SdcBlock(2))
     for hw in (8, 16, 24, 32, 64):
-        assert block(T.zeros((1, 2, hw, hw))).shape == (1, 2, hw, hw)
+        assert block(T.Tensor(np.zeros((1, 2, hw, hw), np.float32))).shape == (1, 2, hw, hw)
 
 
 # ---------------------------------------------------------------------------
@@ -161,7 +161,7 @@ def test_mlp_output_in_open_interval():
 def test_mlp_rejects_spatial():
     head = build(MlpHead(4))
     with pytest.raises(ShapeMismatch):
-        head(T.zeros((1, 4, 2, 2)))
+        head(T.Tensor(np.zeros((1, 4, 2, 2))))
 
 
 def test_mlp_grad():

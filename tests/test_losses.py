@@ -11,7 +11,7 @@ from conftest import check_grads
 
 
 def as_t(a):
-    return T.from_array(np.asarray(a, dtype=np.float64))
+    return T.Tensor(np.asarray(a, dtype=np.float64))
 
 
 def test_tversky_perfect_prediction():
@@ -22,7 +22,7 @@ def test_tversky_perfect_prediction():
 
 
 def test_tversky_empty_vs_empty():
-    z = T.zeros((1, 1, 4, 4), dtype=np.float64)
+    z = T.Tensor(np.zeros((1, 1, 4, 4)))
     assert tversky_index(z, z).item() == 1.0
 
 
@@ -37,12 +37,12 @@ def test_tversky_half_probability_half_positive_mask():
 
 
 def test_tversky_rejects_bad_labels():
-    p = T.zeros((1, 1, 2, 2))
-    y = T.constant((1, 1, 2, 2), 0.5)
+    p = T.Tensor(np.zeros((1, 1, 2, 2)))
+    y = T.Tensor(np.full((1, 1, 2, 2), 0.5))
     with pytest.raises(InvalidLabel):
         tversky_index(p, y)
     with pytest.raises(ShapeMismatch):
-        tversky_index(p, T.zeros((1, 1, 2, 3)))
+        tversky_index(p, T.Tensor(np.zeros((1, 1, 2, 3))))
 
 
 def test_focal_tversky_values():
@@ -130,7 +130,7 @@ def test_supervised_loss_perfect_heads(rng):
 def test_supervised_loss_uniform_weighted_mean():
     # engineered heads whose individual losses are (0.2, 0.4, 0.4, 0.6)
     # would average to 0.4; verify the aggregation itself with a direct sum
-    y = T.zeros((1, 1, 2, 2), dtype=np.float64)
+    y = T.Tensor(np.zeros((1, 1, 2, 2)))
     y.data[0, 0, 0, 0] = 1.0
     heads = [as_t(np.full((1, 1, 2, 2), v)) for v in (0.1, 0.3, 0.5, 0.7)]
     cfg = LossConfig()

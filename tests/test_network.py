@@ -92,7 +92,7 @@ def test_forward_shapes_and_side_maps():
 def test_forward_rejects_indivisible():
     model = FudsaNet(small_cfg(), seed=0)
     with pytest.raises(ShapeMismatch):
-        model(T.zeros((1, 1, 30, 30)))
+        model(T.Tensor(np.zeros((1, 1, 30, 30), np.float32)))
 
 
 def test_dimension_algebra_contract():

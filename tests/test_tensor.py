@@ -17,23 +17,12 @@ from fudsa.training import central_differences
 from conftest import build, check_grads, uniform
 
 
-def t64(a, requires_grad=False):
-    return T.from_array(np.asarray(a, dtype=np.float64), requires_grad=requires_grad)
+def t64(rows):
+    return T.Tensor(np.array(rows, dtype=np.float64)[np.newaxis, np.newaxis])
 
 
 # ---------------------------------------------------------------------------
 # creation
-
-def test_zeros():
-    t = T.zeros((1, 1, 2, 2))
-    assert t.shape == (1, 1, 2, 2)
-    assert np.all(t.data == 0.0)
-
-
-def test_constant_count():
-    t = T.constant((1, 3, 4, 4), 1.0)
-    assert t.data.sum() == 48.0
-
 
 def test_uniform_deterministic():
     a = uniform((1, 1, 8, 8), -1, 1, seed=7)
@@ -57,7 +46,7 @@ def test_he_normal_variance():
 
 def test_bad_extents():
     with pytest.raises(InvalidShape):
-        T.zeros((1, 0, 2, 2))
+        T.Tensor(np.zeros((1, 0, 2, 2)))
     with pytest.raises(InvalidShape):
         T.Tensor(np.zeros((2, 2)))
 
@@ -67,13 +56,13 @@ def test_bad_extents():
 
 def test_add_identity():
     a = t64([[1, 2], [3, 4]])
-    out = T.add(a, T.zeros((1, 1, 2, 2), dtype=np.float64))
+    out = T.add(a, T.Tensor(np.zeros((1, 1, 2, 2))))
     assert np.array_equal(out.data[0, 0], [[1, 2], [3, 4]])
 
 
 def test_mul_channel_broadcast():
     a = uniform((1, 3, 4, 4), -1, 1, seed=0)
-    b = T.from_array(np.array([1.0, 2.0, 3.0], dtype=np.float32).reshape(1, 3, 1, 1))
+    b = T.Tensor(np.array([1.0, 2.0, 3.0], dtype=np.float32).reshape(1, 3, 1, 1))
     out = T.mul(a, b)
     assert out.shape == (1, 3, 4, 4)
     for c in range(3):
@@ -82,7 +71,7 @@ def test_mul_channel_broadcast():
 
 def test_ewise_shape_mismatch():
     with pytest.raises(ShapeMismatch):
-        T.add(T.zeros((1, 2, 4, 4)), T.zeros((1, 3, 4, 4)))
+        T.add(T.Tensor(np.zeros((1, 2, 4, 4))), T.Tensor(np.zeros((1, 3, 4, 4))))
 
 
 def test_mul_grad_equals_other_operand(rng):
@@ -146,15 +135,15 @@ def conv2d_loop(x, k, bias, s, d, p):
 
 
 def test_conv_shape():
-    x = T.zeros((1, 1, 4, 4))
-    k = T.zeros((1, 1, 2, 2))
+    x = T.Tensor(np.zeros((1, 1, 4, 4), np.float32))
+    k = T.Tensor(np.zeros((1, 1, 2, 2), np.float32))
     out = T.conv2d(x, k, stride=2)
     assert out.shape == (1, 1, 2, 2)
 
 
 def test_conv_sum_of_ones():
-    x = T.constant((1, 1, 3, 3), 1.0)
-    k = T.constant((1, 1, 3, 3), 1.0)
+    x = T.Tensor(np.ones((1, 1, 3, 3), np.float32))
+    k = T.Tensor(np.ones((1, 1, 3, 3), np.float32))
     out = T.conv2d(x, k)
     assert out.shape == (1, 1, 1, 1)
     assert out.item() == 9.0
@@ -297,8 +286,8 @@ def test_conv_shape_formula_grid(rng):
                 for k in (1, 2, 3):
                     h = 12
                     hout = (h + 2 * p - d * (k - 1) - 1) // s + 1
-                    x = T.zeros((1, 1, h, h))
-                    kk = T.zeros((1, 1, k, k))
+                    x = T.Tensor(np.zeros((1, 1, h, h), np.float32))
+                    kk = T.Tensor(np.zeros((1, 1, k, k), np.float32))
                     if hout < 1:
                         with pytest.raises(ShapeMismatch):
                             T.conv2d(x, kk, stride=s, dilation=d, padding=p)
@@ -309,12 +298,12 @@ def test_conv_shape_formula_grid(rng):
 
 def test_conv_channel_mismatch():
     with pytest.raises(ShapeMismatch):
-        T.conv2d(T.zeros((1, 2, 4, 4)), T.zeros((1, 3, 3, 3)))
+        T.conv2d(T.Tensor(np.zeros((1, 2, 4, 4))), T.Tensor(np.zeros((1, 3, 3, 3))))
 
 
 def test_conv_output_too_small():
     with pytest.raises(ShapeMismatch):
-        T.conv2d(T.zeros((1, 1, 2, 2)), T.zeros((1, 1, 3, 3)))
+        T.conv2d(T.Tensor(np.zeros((1, 1, 2, 2))), T.Tensor(np.zeros((1, 1, 3, 3))))
 
 
 # ---------------------------------------------------------------------------
@@ -326,7 +315,7 @@ def test_max_pool_window():
 
 
 def test_max_pool_tie_break_first_row_major():
-    x = T.constant((1, 1, 4, 4), 5.0, dtype=np.float64, requires_grad=True)
+    x = T.Tensor(np.full((1, 1, 4, 4), 5.0), requires_grad=True)
     with T.Tape() as tape:
         out = T.max_pool2(x)
         assert np.all(out.data == 5.0)
@@ -380,13 +369,13 @@ def test_max_pool_edge_windows_match_loop_oracle(dtype):
 
 def test_max_pool_odd_extent():
     with pytest.raises(ShapeMismatch):
-        T.max_pool2(T.zeros((1, 1, 3, 4)))
+        T.max_pool2(T.Tensor(np.zeros((1, 1, 3, 4))))
 
 
 def test_global_avg_pool():
     x = t64([[1, 3], [5, 7]])
     assert T.global_avg_pool(x).item() == 4.0
-    c = T.constant((2, 3, 5, 5), 2.5)
+    c = T.Tensor(np.full((2, 3, 5, 5), 2.5, np.float32))
     assert np.all(T.global_avg_pool(c).data == 2.5)
 
 
@@ -403,7 +392,7 @@ def test_global_avg_pool_grad_uniform(rng):
 # upsample
 
 def test_upsample_bilinear_constant():
-    x = T.constant((1, 2, 3, 3), 7.5, dtype=np.float64)
+    x = T.Tensor(np.full((1, 2, 3, 3), 7.5))
     out = T.upsample(x, 2)
     assert out.shape == (1, 2, 6, 6)
     assert np.allclose(out.data, 7.5)
@@ -451,7 +440,7 @@ def test_interp_matrix_is_cached_read_only():
 
 def test_upsample_factor_validation():
     with pytest.raises(InvalidArgument):
-        T.upsample(T.zeros((1, 1, 2, 2)), 1)
+        T.upsample(T.Tensor(np.zeros((1, 1, 2, 2))), 1)
 
 
 # ---------------------------------------------------------------------------
@@ -594,7 +583,7 @@ def test_scaled_exponent_is_clamped(value, unscale):
 # activations / dense / concat
 
 def test_sigmoid_symmetry_point():
-    assert T.sigmoid(T.zeros((1, 1, 1, 1))).item() == 0.5
+    assert T.sigmoid(T.Tensor(np.zeros((1, 1, 1, 1), np.float32))).item() == 0.5
 
 
 def test_relu_definition():
@@ -613,7 +602,7 @@ RELU_EDGES = [np.nan, 0.0, -0.0, np.inf, -np.inf, 1e-40, -1e-40, 5e-324, -5e-324
 def test_relu_backward_is_the_input_mask(values, dtype, seed):
     # the mask comes from relu's output, so it must equal x > 0 for every input,
     # NaN, signed zeros, infinities and subnormals included
-    x = T.from_array(np.array(values, dtype=dtype), requires_grad=True)
+    x = T.Tensor(np.array(values, dtype=dtype).reshape(1, 1, 1, -1), requires_grad=True)
     g = np.random.default_rng(seed).normal(size=x.shape).astype(dtype)
     grad, = _op_grads(lambda: T.relu(x), [x], g)
     assert np.array_equal(grad, g * (x.data > 0))
@@ -725,8 +714,8 @@ def test_dense_identity():
 
 
 def test_dense_hand_arithmetic():
-    x = T.from_array(np.array([1.0, 2.0]).reshape(1, 2, 1, 1))
-    w = T.from_array(np.array([[1.0, 1.0], [1.0, -1.0]]).reshape(2, 2, 1, 1))
+    x = T.Tensor(np.array([1.0, 2.0]).reshape(1, 2, 1, 1))
+    w = T.Tensor(np.array([[1.0, 1.0], [1.0, -1.0]]).reshape(2, 2, 1, 1))
     out = T.dense(x, w)
     assert np.allclose(out.data.reshape(-1), [3.0, -1.0])
 
@@ -743,7 +732,7 @@ def test_dense_matches_matrix_oracle(rng):
 
 def test_dense_rejects_spatial():
     with pytest.raises(ShapeMismatch):
-        T.dense(T.zeros((1, 3, 2, 2)), T.zeros((3, 3, 1, 1)))
+        T.dense(T.Tensor(np.zeros((1, 3, 2, 2))), T.Tensor(np.zeros((3, 3, 1, 1))))
 
 
 def test_concat_shapes_and_roundtrip(rng):
@@ -761,7 +750,7 @@ def test_concat_shapes_and_roundtrip(rng):
 
 def test_concat_spatial_mismatch():
     with pytest.raises(ShapeMismatch):
-        T.concat_channels([T.zeros((1, 2, 4, 4)), T.zeros((1, 2, 4, 5))])
+        T.concat_channels([T.Tensor(np.zeros((1, 2, 4, 4))), T.Tensor(np.zeros((1, 2, 4, 5)))])
 
 
 # ---------------------------------------------------------------------------
@@ -857,14 +846,14 @@ def test_read_only_broadcast_gradient_accumulates(rng):
         T.backward(loss(), tape)
     assert np.allclose(x.grad, w.data + u / 16, rtol=1e-12, atol=0)
     assert np.allclose(x.grad, _fd_grad(loss, x), rtol=1e-7, atol=1e-9)
-    x.zero_grad()
+    x.grad = None
     with T.Tape() as tape:
         T.backward(T.tsum(T.global_avg_pool(x)), tape)
     assert not x.grad.flags.writeable  # as handed over
 
 
 def test_backward_rejects_nonscalar():
-    x = T.zeros((1, 1, 2, 2), requires_grad=True)
+    x = T.Tensor(np.zeros((1, 1, 2, 2)), requires_grad=True)
     with T.Tape() as tape:
         out = T.scale(x, 2.0)
         with pytest.raises(InvalidArgument):

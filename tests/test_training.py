@@ -715,6 +715,22 @@ def test_checkpoint_moment_not_matching_its_parameter_is_corrupt(tmp_path, momen
         load_checkpoint(path)
 
 
+def test_negative_adam_step_count_is_refused_by_load_and_save(tmp_path):
+    # a stored adam/t of -5 once loaded as state.t == -5
+    model = small_model(seed=3)
+    state = AdamState(model.named_params())
+    path = tmp_path / "c.ckpt"
+    save_checkpoint(model, state, path)
+    path.write_bytes(replace_record(path.read_bytes(), "adam/t", np.full((1, 1, 1, 1), -5.0)))
+    with pytest.raises(CorruptCheckpoint, match="adam/t holds -5"):
+        load_checkpoint(path)
+    state.t = -5
+    unsaved = tmp_path / "unsaved.ckpt"
+    with pytest.raises(InvalidArgument, match="adam/t holds -5"):
+        save_checkpoint(model, state, unsaved)
+    assert not unsaved.exists()
+
+
 BIAS = "final_head.bias"
 OTHER_MODEL = NetworkConfig(levels=3, base_channels=4)
 
