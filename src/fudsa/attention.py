@@ -27,7 +27,6 @@ class AttentionResult:
     channel_gate: T.Tensor   # W_cha, (N, C, 1, 1)
     spatial_gate: T.Tensor   # Q, (N, 1, 2H, 2W)
     reduced_decoder: T.Tensor  # D, (N, C, H, W)
-    matched: list            # S maps, each (N, C, H, W)
 
 
 class AttentionGate(Module):
@@ -52,9 +51,9 @@ class AttentionGate(Module):
                 f"level {self.level} gate needs {self.level} encoder maps, got {len(encoder_maps)}")
         e_l = encoder_maps[-1]
         d_next = self.reduce(decoder_map)
-        s_maps = [chain(e) for chain, e in zip(self.match_chains, encoder_maps)]
         sums = [d_next]  # running sum: D, D + S^1, ..., D + S^1 + ... + S^l
-        for s in s_maps:
+        for chain, e in zip(self.match_chains, encoder_maps):
+            s = chain(e)  # S^i, (N, C, H, W)
             if s.shape != d_next.shape:
                 raise ShapeMismatch(f"summand shape {s.shape} != {d_next.shape}")
             sums.append(T.add(sums[-1], s))
@@ -71,4 +70,4 @@ class AttentionGate(Module):
         q = T.sigmoid(self.spatial_conv1(self.spatial_conv3(sums[-1])))
         q = T.upsample(q, 2)
         e_hat = T.mul(e_tilde, q)
-        return AttentionResult(e_hat, w_cha, q, d_next, s_maps)
+        return AttentionResult(e_hat, w_cha, q, d_next)

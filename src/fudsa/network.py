@@ -9,7 +9,7 @@ Ablation variants, each built without the parameters of what it leaves out:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -71,8 +71,8 @@ class ForwardOutputs:
     final_map: T.Tensor
     side_maps: list                  # levels 2..L, upsampled to input extents
     encoder_maps: list               # E^1..E^L
-    attn: dict = field(default_factory=dict)   # level -> AttentionResult
-    decoder_maps: dict = field(default_factory=dict)  # level -> G^l
+    attn: dict                       # level -> AttentionResult
+    decoder_maps: dict               # level -> G^l
 
     def heads(self):
         return [self.final_map] + list(self.side_maps)

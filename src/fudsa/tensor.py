@@ -122,13 +122,13 @@ def _accum(t: Tensor, g: np.ndarray):
 def _op(data, bwd, *inputs):
     """Wrap an op's output.  If a tape is live and some input requires a gradient,
     so does the output, and the tape gets its holder and a backward that calls
-    ``bwd(g, *holders)``, the inputs' holders in order (None for an absent bias)."""
+    ``bwd(g, *holders)``, the inputs' holders in order."""
     tape = _active_tape()
     out = Tensor(data)
-    if tape is not None and any(t is not None and t.requires_grad for t in inputs):
+    if tape is not None and any(t.requires_grad for t in inputs):
         out.requires_grad = True
         out.node = Tensor(np.ndarray(data.shape, data.dtype, _ZERO, strides=(0,) * 4), True)
-        holders = [t if t is None else t.node or t for t in inputs]
+        holders = [t.node or t for t in inputs]
         tape.nodes.append((out.node, lambda g: bwd(g, *holders)))
     return out
 
@@ -259,12 +259,10 @@ def tsum(a: Tensor) -> Tensor:
 # ---------------------------------------------------------------------------
 # convolution and pooling
 
-def conv2d(x: Tensor, kernel: Tensor, bias: Tensor | None = None,
+def conv2d(x: Tensor, kernel: Tensor, bias: Tensor,
            stride: int = 1, dilation: int = 1, padding: int = 0) -> Tensor:
-    """Cross-correlation with zero padding; kernel is (Cout, Cin, kH, kW).
-
-    bias, when given, is a (1, Cout, 1, 1) tensor.
-    """
+    """Cross-correlation with zero padding plus a bias; kernel is
+    (Cout, Cin, kH, kW) and bias (1, Cout, 1, 1)."""
     n, cin, h, w = x.shape
     cout, cin_k, kh, kw = kernel.shape
     if cin != cin_k:
@@ -275,7 +273,7 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor | None = None,
     if hout < 1 or wout < 1:
         raise ShapeMismatch(
             f"conv output extent < 1 for input {h}x{w}, k={kh}x{kw}, s={s}, d={d}, p={p}")
-    if bias is not None and bias.shape != (1, cout, 1, 1):
+    if bias.shape != (1, cout, 1, 1):
         raise ShapeMismatch(f"bias must be (1,{cout},1,1), got {bias.shape}")
 
     # Shifted slices over one zero-padded, channel-major frame (Cin, N*Hp*Wp +
@@ -323,8 +321,7 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor | None = None,
         out = k3.reshape(cout, -1) @ cols.reshape(cin * taps, -1)
         out = out.reshape(cout, *cols.shape[2:])
     out = np.ascontiguousarray(out[crop_o]).transpose(1, 0, 2, 3)
-    if bias is not None:
-        out += bias.data
+    out += bias.data
 
     def bwd(g, x, kernel, bias):
         if tiles:
@@ -333,8 +330,7 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor | None = None,
         else:
             gp = np.zeros((cout, span + n * hp * wp), dtype=g.dtype)
             unscale = _scaled(g.transpose(1, 0, 2, 3), out=_window(gp, span, frame, outs))[1]
-        if bias is not None:
-            _accum(bias, gp.sum(axis=1).reshape(1, cout, 1, 1) * unscale)
+        _accum(bias, gp.sum(axis=1).reshape(1, cout, 1, 1) * unscale)
         gk = gx = None
         if tiles or flat and cout > cin:
             # Gather x for the weight gradient; shifted adds, or for tiles a
@@ -517,8 +513,9 @@ def sigmoid(x: Tensor) -> Tensor:
     return _op(y, lambda g, x: _accum(x, g * y * (1.0 - y)), x)
 
 
-def dense(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
-    """Per-item linear map on (N, C, 1, 1); weight is (Cout, Cin, 1, 1)."""
+def dense(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
+    """Per-item affine map on (N, C, 1, 1); weight is (Cout, Cin, 1, 1) and
+    bias (1, Cout, 1, 1)."""
     n, c, h, w = x.shape
     if h != 1 or w != 1:
         raise ShapeMismatch(f"dense needs 1x1 spatial extents, got {h}x{w}")
@@ -527,18 +524,15 @@ def dense(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
         raise ShapeMismatch(f"dense weight expects {cin} channels, input has {c}")
     x2 = x.data.reshape(n, c)
     w2 = weight.data.reshape(cout, cin)
-    y = x2 @ w2.T
-    if bias is not None:
-        if bias.shape != (1, cout, 1, 1):
-            raise ShapeMismatch(f"bias must be (1,{cout},1,1), got {bias.shape}")
-        y = y + bias.data.reshape(1, cout)
+    if bias.shape != (1, cout, 1, 1):
+        raise ShapeMismatch(f"bias must be (1,{cout},1,1), got {bias.shape}")
+    y = x2 @ w2.T + bias.data.reshape(1, cout)
 
     def bwd(g, x, weight, bias):
         g2 = g.reshape(n, cout)
         _accum(x, (g2 @ w2).reshape(n, c, 1, 1))
         _accum(weight, (g2.T @ x2).reshape(cout, cin, 1, 1))
-        if bias is not None:
-            _accum(bias, g2.sum(axis=0).reshape(1, cout, 1, 1))
+        _accum(bias, g2.sum(axis=0).reshape(1, cout, 1, 1))
 
     return _op(y.reshape(n, cout, 1, 1), bwd, x, weight, bias)
 

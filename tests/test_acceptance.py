@@ -15,7 +15,7 @@ from fudsa import tensor as T
 from fudsa.attention import AttentionGate
 from fudsa.losses import (LossConfig, focal_tversky, segmentation_metrics,
                           tversky_index)
-from fudsa.network import FudsaNet, NetworkConfig, VARIANTS
+from fudsa.network import FudsaNet, NetworkConfig
 from fudsa.training import (TrainConfig, evaluate, load_checkpoint,
                             save_checkpoint, train)
 

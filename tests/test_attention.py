@@ -62,6 +62,15 @@ def test_reduce_decoder_rejects_wrong_channels():
         gate.reduce(T.Tensor(np.zeros((1, 6, 4, 4))))
 
 
+def test_misshapen_summand_raises():
+    # two halvings take a 4x4 E^1 to a 1x1 S^1, which add would broadcast over D
+    gate, _ = make_gate(level=2, base=4)
+    enc, dec = make_inputs(level=2, base=4, h=2)
+    enc[0] = T.Tensor(np.zeros((1, 4, 4, 4)))
+    with pytest.raises(ShapeMismatch, match="summand shape"):
+        gate(enc, dec)
+
+
 def test_channel_gate_level1_uses_decoder_alone():
     # at the top level the channel-branch summand list is [D] only
     gate, _ = make_gate(level=1, base=4)

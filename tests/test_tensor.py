@@ -21,6 +21,11 @@ def t64(rows):
     return T.Tensor(np.array(rows, dtype=np.float64)[np.newaxis, np.newaxis])
 
 
+def zero_bias(cout, dtype=np.float64):
+    """A (1, cout, 1, 1) zero bias that takes no gradient."""
+    return T.Tensor(np.zeros((1, cout, 1, 1), dtype))
+
+
 # ---------------------------------------------------------------------------
 # creation
 
@@ -137,14 +142,14 @@ def conv2d_loop(x, k, bias, s, d, p):
 def test_conv_shape():
     x = T.Tensor(np.zeros((1, 1, 4, 4), np.float32))
     k = T.Tensor(np.zeros((1, 1, 2, 2), np.float32))
-    out = T.conv2d(x, k, stride=2)
+    out = T.conv2d(x, k, zero_bias(1, np.float32), stride=2)
     assert out.shape == (1, 1, 2, 2)
 
 
 def test_conv_sum_of_ones():
     x = T.Tensor(np.ones((1, 1, 3, 3), np.float32))
     k = T.Tensor(np.ones((1, 1, 3, 3), np.float32))
-    out = T.conv2d(x, k)
+    out = T.conv2d(x, k, zero_bias(1, np.float32))
     assert out.shape == (1, 1, 1, 1)
     assert out.item() == 9.0
 
@@ -226,7 +231,7 @@ def test_conv_gradients_finite_diff(rng):
 def test_conv_strided_2x2_grad(rng):
     x = T.Tensor(rng.normal(size=(1, 2, 8, 8)), requires_grad=True)
     k = T.Tensor(rng.normal(size=(3, 2, 2, 2)), requires_grad=True)
-    check_grads(lambda: T.tsum(T.conv2d(x, k, stride=2)), [x, k])
+    check_grads(lambda: T.tsum(T.conv2d(x, k, zero_bias(3), stride=2)), [x, k])
 
 
 def test_conv_1x1_grad(rng):
@@ -288,22 +293,23 @@ def test_conv_shape_formula_grid(rng):
                     hout = (h + 2 * p - d * (k - 1) - 1) // s + 1
                     x = T.Tensor(np.zeros((1, 1, h, h), np.float32))
                     kk = T.Tensor(np.zeros((1, 1, k, k), np.float32))
+                    b = zero_bias(1, np.float32)
                     if hout < 1:
                         with pytest.raises(ShapeMismatch):
-                            T.conv2d(x, kk, stride=s, dilation=d, padding=p)
+                            T.conv2d(x, kk, b, stride=s, dilation=d, padding=p)
                     else:
-                        out = T.conv2d(x, kk, stride=s, dilation=d, padding=p)
+                        out = T.conv2d(x, kk, b, stride=s, dilation=d, padding=p)
                         assert out.shape == (1, 1, hout, hout), (s, d, p, k)
 
 
 def test_conv_channel_mismatch():
     with pytest.raises(ShapeMismatch):
-        T.conv2d(T.Tensor(np.zeros((1, 2, 4, 4))), T.Tensor(np.zeros((1, 3, 3, 3))))
+        T.conv2d(T.Tensor(np.zeros((1, 2, 4, 4))), T.Tensor(np.zeros((1, 3, 3, 3))), zero_bias(1))
 
 
 def test_conv_output_too_small():
     with pytest.raises(ShapeMismatch):
-        T.conv2d(T.Tensor(np.zeros((1, 1, 2, 2))), T.Tensor(np.zeros((1, 1, 3, 3))))
+        T.conv2d(T.Tensor(np.zeros((1, 1, 2, 2))), T.Tensor(np.zeros((1, 1, 3, 3))), zero_bias(1))
 
 
 # ---------------------------------------------------------------------------
@@ -447,39 +453,43 @@ def test_upsample_factor_validation():
 # power-of-two rescaling of output gradients in conv2d / upsample backward
 
 CONV_GEOMS = [(3, 1, 1, 1, True), (3, 1, 2, 2, True), (2, 2, 1, 0, False),
-              (1, 1, 1, 0, True), (3, 2, 1, 1, False)]  # k, stride, dilation, padding, bias
+              (1, 1, 1, 0, True), (3, 2, 1, 1, False)]  # k, stride, dilation, padding, bias learned
 
 
 def _op_grads(op, inputs, g):
-    """Gradients of ``inputs`` when the output gradient of ``op()`` is ``g``."""
+    """Gradients of those ``inputs`` that require one, when the output
+    gradient of ``op()`` is ``g``."""
     for t in inputs:
         t.grad = None
     with T.Tape() as tape:
         op()
     (_, fn), = tape.nodes
     fn(g)
-    return [t.grad for t in inputs]
+    return [t.grad for t in inputs if t.requires_grad]
 
 
 def _conv_grads_unscaled(inputs, g, s, d, p):
-    """conv2d's gradients of ``inputs`` (x, kernel[, bias]) for output gradient
+    """conv2d's gradients of ``inputs`` (x, kernel, bias) for output gradient
     g, with the backward's rescaling of g by 2**k pinned to k = 0."""
     def unscaled(g, out=None):
         out = np.empty(g.shape, dtype=g.dtype) if out is None else out
         out[...] = g
         return out, 1.0
 
-    x, k, b = (inputs + [None])[:3]
+    x, k, b = inputs
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(T, "_scaled", unscaled)
         return _op_grads(lambda: T.conv2d(x, k, b, stride=s, dilation=d, padding=p), inputs, g)
 
 
 def _conv_case(rng, dtype, k, s, d, p, bias, x_scale=1.0, g_scale=1.0):
+    """Operands, op and output gradient of one conv; ``bias=False`` gives a
+    zero bias that takes no gradient."""
     x = T.Tensor((rng.normal(size=(2, 3, 9, 9)) * x_scale).astype(dtype), requires_grad=True)
     kern = T.Tensor(rng.normal(size=(4, 3, k, k)).astype(dtype), requires_grad=True)
-    b = T.Tensor(rng.normal(size=(1, 4, 1, 1)).astype(dtype), requires_grad=True) if bias else None
-    inputs = [x, kern] + ([b] if bias else [])
+    b = T.Tensor(rng.normal(size=(1, 4, 1, 1)).astype(dtype), requires_grad=True) if bias \
+        else zero_bias(4, dtype)
+    inputs = [x, kern, b]
     out = T.conv2d(x, kern, b, stride=s, dilation=d, padding=p)
     g = (rng.normal(size=out.shape) * g_scale).astype(dtype)
     return inputs, (lambda: T.conv2d(x, kern, b, stride=s, dilation=d, padding=p)), g
@@ -519,8 +529,8 @@ def test_conv_backward_accurate_for_subnormal_output_gradient(rng):
     for dtype in (np.float32, np.float64):
         xt = T.Tensor(x.astype(np.float32).astype(dtype), requires_grad=True)
         kt = T.Tensor(k.astype(np.float32).astype(dtype), requires_grad=True)
-        _, grads[dtype] = _op_grads(lambda: T.conv2d(xt, kt, padding=1), [xt, kt],
-                                    g.astype(dtype))
+        _, grads[dtype] = _op_grads(lambda: T.conv2d(xt, kt, zero_bias(8, dtype), padding=1),
+                                    [xt, kt], g.astype(dtype))
     ref = grads[np.float64]
     assert np.abs(grads[np.float32] - ref).max() / np.abs(ref).max() <= 5e-6
 
@@ -654,8 +664,8 @@ def test_backward_frees_saved_arrays_once_their_closures_ran(rng):
         for k in ks:
             k.grad = None
         with T.Tape() as tape:
-            h1 = T.relu(T.conv2d(x, ks[0], padding=1))
-            h2 = T.relu(T.conv2d(h1, ks[1], padding=1))
+            h1 = T.relu(T.conv2d(x, ks[0], zero_bias(4, np.float32), padding=1))
+            h2 = T.relu(T.conv2d(h1, ks[1], zero_bias(4, np.float32), padding=1))
             loss = T.tsum(h2)
         refs = [weakref.ref(_base(t.data)) for t in (h1, h2)]
         del h1, h2
@@ -709,14 +719,14 @@ def test_activation_grads(rng):
 def test_dense_identity():
     x = uniform((2, 3, 1, 1), -1, 1, seed=0, dtype=np.float64)
     w = T.Tensor(np.eye(3).reshape(3, 3, 1, 1))
-    out = T.dense(x, w)
+    out = T.dense(x, w, zero_bias(3))
     assert np.allclose(out.data, x.data)
 
 
 def test_dense_hand_arithmetic():
     x = T.Tensor(np.array([1.0, 2.0]).reshape(1, 2, 1, 1))
     w = T.Tensor(np.array([[1.0, 1.0], [1.0, -1.0]]).reshape(2, 2, 1, 1))
-    out = T.dense(x, w)
+    out = T.dense(x, w, zero_bias(2))
     assert np.allclose(out.data.reshape(-1), [3.0, -1.0])
 
 
@@ -732,7 +742,7 @@ def test_dense_matches_matrix_oracle(rng):
 
 def test_dense_rejects_spatial():
     with pytest.raises(ShapeMismatch):
-        T.dense(T.Tensor(np.zeros((1, 3, 2, 2))), T.Tensor(np.zeros((3, 3, 1, 1))))
+        T.dense(T.Tensor(np.zeros((1, 3, 2, 2))), T.Tensor(np.zeros((3, 3, 1, 1))), zero_bias(3))
 
 
 def test_concat_shapes_and_roundtrip(rng):
@@ -874,8 +884,9 @@ def test_op_output_requires_grad_only_on_a_live_tape(rng):
 def test_determinism_repeated_op(rng):
     x = T.Tensor(rng.normal(size=(2, 3, 8, 8)))
     k = T.Tensor(rng.normal(size=(4, 3, 3, 3)))
-    a = T.conv2d(x, k, padding=1)
-    b = T.conv2d(x, k, padding=1)
+    bias = zero_bias(4)
+    a = T.conv2d(x, k, bias, padding=1)
+    b = T.conv2d(x, k, bias, padding=1)
     assert np.array_equal(a.data, b.data)
 
 

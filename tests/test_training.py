@@ -306,7 +306,8 @@ def test_evaluate_all_background_prediction_recall_zero():
 
 def test_ablation32_train_step_peak_is_bounded():
     # one full-model step at the criterion-6 geometry, traced as perfbench's peak_mib is:
-    # it reads 24.38 MiB, and 29.17 MiB with a backward that copies each gradient it stores
+    # it reads 24.03 MiB; it read 24.38 while the gates kept their S maps, and 29.17 when
+    # backward also copied each gradient it stored
     model = FudsaNet(NetworkConfig(levels=3, base_channels=8), seed=0)
     params = list(model.named_params())
     state, cfg = AdamState(params), TrainConfig(learning_rate=3e-4, batch_size=16)
