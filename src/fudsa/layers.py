@@ -73,15 +73,23 @@ class Dense(Conv2d):
         return T.dense(x, self.weight, self.bias)
 
 
+class ConvRelu(Conv2d):
+    """A convolution followed by relu, taped as one op."""
+
+    def __call__(self, x):
+        return T.conv2d_relu(x, self.weight, self.bias, stride=self.stride,
+                             dilation=self.dilation, padding=self.padding)
+
+
 class ConvBlock(Module):
     """Two 3x3 same-padding convolutions, each followed by relu."""
 
     def __init__(self, in_ch, out_ch):
-        self.conv1 = Conv2d(in_ch, out_ch, 3, padding=1)
-        self.conv2 = Conv2d(out_ch, out_ch, 3, padding=1)
+        self.conv1 = ConvRelu(in_ch, out_ch, 3, padding=1)
+        self.conv2 = ConvRelu(out_ch, out_ch, 3, padding=1)
 
     def __call__(self, x):
-        return T.relu(self.conv2(T.relu(self.conv1(x))))
+        return self.conv2(self.conv1(x))
 
 
 class MatchChain(Module):
@@ -118,12 +126,12 @@ class SdcBlock(Module):
     channel preserving."""
 
     def __init__(self, channels):
-        self.convs = [Conv2d(channels, channels, 3, dilation=d, padding=d)
+        self.convs = [ConvRelu(channels, channels, 3, dilation=d, padding=d)
                       for d in SDC_DILATIONS]
 
     def __call__(self, x):
         for conv in self.convs:
-            x = T.relu(conv(x))
+            x = conv(x)
         return x
 
 

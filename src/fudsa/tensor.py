@@ -33,7 +33,7 @@ from .errors import InvalidArgument, InvalidShape, InvalidState, ShapeMismatch
 __all__ = [
     "Tensor", "Tape", "backward",
     "add", "sub", "mul", "div", "scale", "add_scalar", "rsub_scalar", "power",
-    "conv2d", "max_pool2", "global_avg_pool", "upsample", "relu", "sigmoid",
+    "conv2d", "conv2d_relu", "max_pool2", "global_avg_pool", "upsample", "relu", "sigmoid",
     "dense", "concat_channels", "tsum",
     "write_ften", "read_ften", "read_ften_record",
 ]
@@ -372,6 +372,21 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor,
             _accum(x, gx.transpose(1, 0, 2, 3))
 
     return _op(out, bwd, x, kernel, bias)
+
+
+def conv2d_relu(x: Tensor, kernel: Tensor, bias: Tensor,
+                stride: int = 1, dilation: int = 1, padding: int = 0) -> Tensor:
+    """relu(conv2d(...)) as one tape node: the output is clamped in place and
+    the conv's backward takes relu's masked gradient directly, so no holder
+    keeps the gradient before the relu."""
+    # by its module name, so whatever stands in for conv2d there sees this call too
+    out = conv2d(x, kernel, bias, stride=stride, dilation=dilation, padding=padding)
+    y = np.maximum(out.data, 0, out=out.data)
+    if out.node is not None:
+        tape = _active_tape()
+        node, fn = tape.nodes[-1]
+        tape.nodes[-1] = node, lambda g: fn(g * (y > 0))
+    return out
 
 
 def _conv_axis(n_in, n_out, k, s, d, p):

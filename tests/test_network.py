@@ -8,6 +8,7 @@ from fudsa.errors import InvalidArgument, ShapeMismatch
 from fudsa.layers import Conv2d
 from fudsa.losses import LossConfig, supervised_loss
 from fudsa.network import FudsaNet, NetworkConfig, VARIANTS
+from fudsa.training import AdamState, TrainConfig, adam_step
 
 from conftest import build, traced_peak, uniform
 
@@ -142,6 +143,40 @@ def test_every_parameter_of_every_variant_gets_a_gradient(variant):
     with T.Tape() as tape:
         T.backward(supervised_loss(model(x).heads(), y, LossConfig()), tape)
     assert [name for name, p in model.named_params() if p.grad is None] == []
+
+
+@pytest.mark.parametrize("variant", list(VARIANTS))
+def test_fused_conv_relu_trains_to_the_bit_as_relu_of_conv(monkeypatch, variant):
+    # two seeded Adam steps with each block's conv and relu taped as one op, and as two
+    x = uniform((2, 1, 32, 32), 0, 1, seed=16)
+    y = T.Tensor((np.random.default_rng(17).uniform(0, 1, x.shape) > 0.8).astype(np.float32))
+
+    def train_twice():
+        model = FudsaNet(small_cfg().with_variant(variant), seed=18)
+        params = list(model.named_params())
+        state, cfg = AdamState(params), TrainConfig(learning_rate=3e-4)
+        values, nodes = [], []
+        for _ in range(2):
+            with T.Tape() as tape:
+                loss = supervised_loss(model(x).heads(), y, cfg.loss)
+                T.backward(loss, tape)
+            values.append(loss.item())
+            nodes.append(len(tape.nodes))
+            adam_step(params, state, cfg)
+            model.zero_grad()
+        h = hashlib.sha256()
+        for name, p in params:
+            h.update(name.encode())
+            h.update(p.data.tobytes())
+        return h.hexdigest(), values, nodes[0]
+
+    digest, values, fused = train_twice()
+    monkeypatch.setattr(T, "conv2d_relu", lambda x, k, b, **kw: T.relu(T.conv2d(x, k, b, **kw)))
+    again, again_values, unfused = train_twice()
+    assert (again, again_values) == (digest, values)
+    # levels 3: two relus in each of 7 conv blocks (3 encoder, bottleneck, 3 decoder)
+    # and three in each gate's SDC block, which variant I does not build
+    assert unfused - fused == 2 * 7 + (0 if variant == "I" else 3 * 3)
 
 
 def test_variant_parameter_counts():

@@ -618,6 +618,69 @@ def test_relu_backward_is_the_input_mask(values, dtype, seed):
     assert np.array_equal(grad, g * (x.data > 0))
 
 
+def _output_and_grads(op, inputs, g):
+    """op()'s output and its inputs' gradients when the output's gradient is g:
+    the backward of sum(op() * g), whose product hands op() 1 * g, g to the bit."""
+    for t in inputs:
+        t.grad = None
+    with T.Tape() as tape:
+        out = op()
+        loss = T.tsum(T.mul(out, T.Tensor(g)))
+    T.backward(loss, tape)
+    return [out.data] + [t.grad for t in inputs]
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("geom", CONV_BRANCHES.values(), ids=CONV_BRANCHES.keys())
+def test_conv2d_relu_is_relu_of_conv2d_to_the_bit(rng, geom, dtype):
+    # forward and every input gradient, on every branch of the conv lowering, and
+    # with NaN, infinities and -0 in the input and in the incoming gradient
+    n, cin, cout, h, w, k, s, d, p = geom
+    args = dict(stride=s, dilation=d, padding=p)
+    for special in (False, True):
+        x, kern, b = (T.Tensor(rng.normal(size=shape).astype(dtype), requires_grad=True)
+                      for shape in ((n, cin, h, w), (cout, cin, k, k), (1, cout, 1, 1)))
+        g = rng.normal(size=T.conv2d(x, kern, b, **args).shape).astype(dtype)
+        if special:
+            for a in (x.data, g):
+                a.reshape(-1)[rng.choice(a.size, 4, replace=False)] = [np.nan, np.inf,
+                                                                       -np.inf, -0.0]
+        with np.errstate(invalid="ignore", over="ignore"):  # inf - inf, inf * 0
+            fused = _output_and_grads(lambda: T.conv2d_relu(x, kern, b, **args), [x, kern, b], g)
+            unfused = _output_and_grads(lambda: T.relu(T.conv2d(x, kern, b, **args)),
+                                        [x, kern, b], g)
+        for got, want in zip(fused, unfused, strict=True):
+            assert got.dtype == dtype and got.tobytes() == want.tobytes(), special
+
+
+def test_conv2d_relu_gradients_finite_diff(rng):
+    x = T.Tensor(rng.normal(size=(2, 3, 8, 8)), requires_grad=True)
+    k = T.Tensor(rng.normal(size=(4, 3, 3, 3)) * 0.3, requires_grad=True)
+    b = T.Tensor(rng.normal(size=(1, 4, 1, 1)), requires_grad=True)
+    up = T.Tensor(rng.normal(size=(2, 4, 8, 8)))
+    out = T.conv2d_relu(x, k, b, padding=1)
+    assert 0.2 < np.mean(out.data > 0) < 0.8  # both sides of the kink are checked
+    check_grads(lambda: T.tsum(T.mul(T.conv2d_relu(x, k, b, padding=1), up)), [x, k, b])
+
+
+def test_conv2d_relu_tapes_one_node_and_keeps_no_pre_relu_gradient(rng):
+    x = T.Tensor(rng.normal(size=(2, 3, 8, 8)).astype(np.float32))
+    k = T.Tensor(rng.normal(size=(4, 3, 3, 3)).astype(np.float32), requires_grad=True)
+    b = zero_bias(4, np.float32)
+    assert T.conv2d_relu(x, k, b, padding=1).node is None  # no tape, no node
+    for op, nodes in ((T.conv2d_relu, 2), (lambda *a, **kw: T.relu(T.conv2d(*a, **kw)), 3)):
+        with T.Tape() as tape:
+            h = op(x, k, b, padding=1)
+            loss = T.tsum(h)
+        assert len(tape.nodes) == nodes
+        T.backward(loss, tape)
+        held = [node.grad for node, _ in tape.nodes]
+        assert held[-2:] == [h.grad, loss.grad]  # the output's and the loss's gradients
+        assert np.array_equal(h.grad, np.ones_like(h.data))
+    # unfused, the conv output's holder keeps the masked gradient until the tape goes
+    assert np.array_equal(held[0], h.data > 0)
+
+
 def test_tape_frees_values_that_no_backward_reads(rng):
     # a conv output before its relu and an add output are read by no backward:
     # once the caller drops them the arrays die, reference counting alone
