@@ -675,7 +675,8 @@ def test_conv2d_relu_tapes_one_node_and_keeps_no_pre_relu_gradient(rng):
         assert len(tape.nodes) == nodes
         T.backward(loss, tape)
         held = [node.grad for node, _ in tape.nodes]
-        assert held[-2:] == [h.grad, loss.grad]  # the output's and the loss's gradients
+        # the last two holders keep the output's and the loss's gradients, and no other
+        assert [a is b for a, b in zip(held[-2:], (h.grad, loss.grad))] == [True, True]
         assert np.array_equal(h.grad, np.ones_like(h.data))
     # unfused, the conv output's holder keeps the masked gradient until the tape goes
     assert np.array_equal(held[0], h.data > 0)
