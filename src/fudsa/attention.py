@@ -23,10 +23,9 @@ from .layers import Conv2d, MatchChain, MlpHead, Module, SdcBlock
 
 @dataclass
 class AttentionResult:
-    gated: T.Tensor          # E-hat, (N, C, 2H, 2W)
+    """The two gates of one level: what ``--dump-attention`` writes."""
     channel_gate: T.Tensor   # W_cha, (N, C, 1, 1)
     spatial_gate: T.Tensor   # Q, (N, 1, 2H, 2W)
-    reduced_decoder: T.Tensor  # D, (N, C, H, W)
 
 
 class AttentionGate(Module):
@@ -45,7 +44,8 @@ class AttentionGate(Module):
         self.spatial_conv3 = Conv2d(c, c, 3, padding=1)
         self.spatial_conv1 = Conv2d(c, 1, 1)
 
-    def __call__(self, encoder_maps, decoder_map) -> AttentionResult:
+    def __call__(self, encoder_maps, decoder_map):
+        """(E-hat, the gates): E-hat is (N, C, 2H, 2W), the gated level-l encoder map."""
         if len(encoder_maps) != self.level:
             raise ShapeMismatch(
                 f"level {self.level} gate needs {self.level} encoder maps, got {len(encoder_maps)}")
@@ -70,4 +70,4 @@ class AttentionGate(Module):
         q = T.sigmoid(self.spatial_conv1(self.spatial_conv3(sums[-1])))
         q = T.upsample(q, 2)
         e_hat = T.mul(e_tilde, q)
-        return AttentionResult(e_hat, w_cha, q, d_next)
+        return e_hat, AttentionResult(w_cha, q)

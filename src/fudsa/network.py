@@ -70,9 +70,7 @@ class NetworkConfig:
 class ForwardOutputs:
     final_map: T.Tensor
     side_maps: list                  # levels 2..L, upsampled to input extents
-    encoder_maps: list               # E^1..E^L
-    attn: dict                       # level -> AttentionResult
-    decoder_maps: dict               # level -> G^l
+    attn: dict                       # level -> AttentionResult, the gates alone
 
     def heads(self):
         return [self.final_map] + list(self.side_maps)
@@ -132,9 +130,9 @@ class FudsaNet(Module):
         attn: dict[int, object] = {}
         for dl, level in zip(self.decoder, range(cfg.levels, 0, -1)):
             u = dl.up_conv(T.upsample(g_next, 2))
-            res = dl.attention(enc_maps[:level], g_next)
-            attn[level] = res
-            g = dl.block(T.concat_channels([res.gated, u]))
+            gated, attn[level] = dl.attention(enc_maps, g_next)
+            enc_maps.pop()  # gate l is the last reader of E^l
+            g = dl.block(T.concat_channels([gated, u]))
             # project G^m at its own resolution, then upsample c channels: 1x1 conv
             # and resampling commute, so the wide map never exists at this size
             for conv, m in zip(dl.proj, range(level + 1, cfg.levels + 1)):
@@ -145,6 +143,6 @@ class FudsaNet(Module):
         final = T.sigmoid(self.final_head(dec_maps[1]))
         sides = [T.upsample(T.sigmoid(head(dec_maps[level])), 1 << (level - 1))
                  for head, level in zip(self.side_heads, range(2, cfg.levels + 1))]
-        return ForwardOutputs(final, sides, enc_maps, attn, dec_maps)
+        return ForwardOutputs(final, sides, attn)
 
     __call__ = forward

@@ -40,6 +40,20 @@ def traced_peak(fn):
         tracemalloc.stop()
 
 
+def record_calls(monkeypatch, cls, keep):
+    """Wrap ``cls.__call__`` the way perfbench's tracer does: after each call,
+    ``keep(module, args, result)`` is appended to the list returned."""
+    calls, real = [], cls.__dict__["__call__"]
+
+    def call(self, *args):
+        out = real(self, *args)
+        calls.append(keep(self, args, out))
+        return out
+
+    monkeypatch.setattr(cls, "__call__", call)
+    return calls
+
+
 def fud1_records(blob):
     """(record start, FTEN start, record end) of every record in a FUD1 blob."""
     (count,) = struct.unpack_from("<I", blob, 4)

@@ -13,13 +13,14 @@ from fudsa import cli
 from fudsa import data as D
 from fudsa import tensor as T
 from fudsa.attention import AttentionGate
+from fudsa.layers import Conv2d
 from fudsa.losses import (LossConfig, focal_tversky, segmentation_metrics,
                           tversky_index)
 from fudsa.network import FudsaNet, NetworkConfig
 from fudsa.training import (TrainConfig, evaluate, load_checkpoint,
                             save_checkpoint, train)
 
-from conftest import build
+from conftest import build, record_calls
 
 
 @contextlib.contextmanager
@@ -43,27 +44,40 @@ def test_criterion_1_gradient_suite():
         assert code == 0
 
 
-def test_criterion_2_shape_contract():
+def test_criterion_2_shape_contract(monkeypatch):
     """Dimension algebra at every decoder level for L in {3,4}, 32/64 px."""
     with criterion("criterion 2: shape contract (L in {3,4}, 32/64 px)"):
+        # the forward returns none of E^l, D, E-hat or G^l, so each is seen as it
+        # passes: a gate reads E^1..E^l and G^(l+1) and makes E-hat, its reduce
+        # conv makes D, and the final head reads G^1
+        gates = record_calls(monkeypatch, AttentionGate, lambda gate, args, out: (
+            gate.level, args[0][-1].shape, args[1].shape, out[0].shape))
+        convs = record_calls(monkeypatch, Conv2d,
+                             lambda conv, args, out: (conv, args[0].shape, out.shape))
         for levels, size in ((3, 32), (3, 64), (4, 32), (4, 64)):
+            gates.clear()
+            convs.clear()
             cfg = NetworkConfig(levels=levels, base_channels=4)
             model = FudsaNet(cfg, seed=0)
             n = 2
             x = T.Tensor(np.random.default_rng(0).uniform(
                 0, 1, (n, 1, size, size)).astype(np.float32))
             out = model(x)
+            seen = {level: rest for level, *rest in gates}
+            conv_io = {conv: io for conv, *io in convs}
             for l in range(1, levels + 1):
                 c = cfg.channels_at(l)
                 hh = size >> (l - 1)       # encoder grid at level l (2H x 2W)
                 h = hh // 2                # decoder grid below it (H x W)
                 res = out.attn[l]
-                assert out.encoder_maps[l - 1].shape == (n, c, hh, hh)
-                assert res.reduced_decoder.shape == (n, c, h, h)
+                e_l, g_above, e_hat = seen[l]
+                assert e_l == (n, c, hh, hh)
+                assert g_above == (n, 2 * c, h, h)  # G^(l+1); the bottleneck's at l = L
+                assert conv_io[model.decoder[levels - l].attention.reduce][1] == (n, c, h, h)
                 assert res.channel_gate.shape == (n, c, 1, 1)
                 assert res.spatial_gate.shape == (n, 1, hh, hh)
-                assert res.gated.shape == (n, c, hh, hh)
-                assert out.decoder_maps[l].shape == (n, c, hh, hh)
+                assert e_hat == (n, c, hh, hh)
+            assert conv_io[model.final_head][0] == (n, cfg.channels_at(1), size, size)  # G^1
             assert out.final_map.shape == (n, 1, size, size)
             assert len(out.side_maps) == levels - 1
             for s in out.side_maps:
@@ -88,11 +102,11 @@ def test_criterion_3_attention_properties():
                 for i in range(level)]
             dec = T.Tensor(rng.standard_normal(
                 (1, 2 * c, hh // 2, hh // 2)).astype(np.float32))
-            res = gate(encs, dec)
+            gated, res = gate(encs, dec)
             for g in (res.channel_gate.data, res.spatial_gate.data):
                 assert 0.0 < g.min() and g.max() < 1.0
             # elementwise attenuation of the gated skip
-            assert np.all(np.abs(res.gated.data)
+            assert np.all(np.abs(gated.data)
                           <= np.abs(encs[-1].data) + 1e-6)
             # channel gate is spatially constant by shape
             assert res.channel_gate.shape[2:] == (1, 1)
@@ -100,7 +114,7 @@ def test_criterion_3_attention_properties():
             # sum excludes the own-level map) but changes the spatial branch
             if level > 1:
                 encs_zeroed = encs[:-1] + [T.Tensor(np.zeros(encs[-1].shape, np.float32))]
-                res0 = gate(encs_zeroed, dec)
+                _, res0 = gate(encs_zeroed, dec)
                 np.testing.assert_array_equal(res0.channel_gate.data,
                                               res.channel_gate.data)
                 assert not np.array_equal(res0.spatial_gate.data,

@@ -75,7 +75,7 @@ def test_channel_gate_level1_uses_decoder_alone():
     # at the top level the channel-branch summand list is [D] only
     gate, _ = make_gate(level=1, base=4)
     enc, dec = make_inputs(level=1, base=4)
-    res = gate(enc, dec)
+    _, res = gate(enc, dec)
     assert res.channel_gate.shape == (1, 4, 1, 1)
 
 
@@ -84,18 +84,18 @@ def test_zero_mlp_gives_half_scaling():
     for p in gate.mlp.params():
         p.data[...] = 0.0
     enc, dec = make_inputs(level=2, base=4)
-    res = gate(enc, dec)
+    gated, res = gate(enc, dec)
     assert np.all(res.channel_gate.data == 0.5)
-    e_tilde = res.gated.data / res.spatial_gate.data  # undo the spatial gate
+    e_tilde = gated.data / res.spatial_gate.data  # undo the spatial gate
     assert np.allclose(e_tilde, 0.5 * enc[-1].data)
 
 
 def test_channel_gate_ratio_constancy():
     gate, _ = make_gate(level=3, base=2, seed=5)
     enc, dec = make_inputs(level=3, base=2, h=2, seed=6)
-    res = gate(enc, dec)
+    gated, res = gate(enc, dec)
     w = res.channel_gate.data
-    e_tilde = res.gated.data / res.spatial_gate.data
+    e_tilde = gated.data / res.spatial_gate.data
     ratio = e_tilde / enc[-1].data
     assert np.allclose(ratio, np.broadcast_to(w, ratio.shape))
 
@@ -105,14 +105,14 @@ def test_spatial_gate_zero_conv1_gives_half():
     gate.spatial_conv1.weight.data[...] = 0.0
     gate.spatial_conv1.bias.data[...] = 0.0
     enc, dec = make_inputs(level=2, base=4)
-    res = gate(enc, dec)
+    _, res = gate(enc, dec)
     assert np.allclose(res.spatial_gate.data, 0.5)
 
 
 def test_spatial_gate_doubles_extents_and_ranges():
     gate, _ = make_gate(level=2, base=4, seed=2)
     enc, dec = make_inputs(level=2, base=4, h=4, seed=3)
-    res = gate(enc, dec)
+    _, res = gate(enc, dec)
     assert res.spatial_gate.shape == (1, 1, 8, 8)
     assert 0.0 < res.spatial_gate.data.min() <= res.spatial_gate.data.max() < 1.0
     assert 0.0 < res.channel_gate.data.min() <= res.channel_gate.data.max() < 1.0
@@ -122,31 +122,31 @@ def test_attention_annihilates_zero_encoder_map():
     gate, _ = make_gate(level=2, base=4)
     enc, dec = make_inputs(level=2, base=4)
     enc[-1] = T.Tensor(np.zeros(enc[-1].shape))
-    res = gate(enc, dec)
-    assert np.all(res.gated.data == 0.0)
+    gated, _ = gate(enc, dec)
+    assert np.all(gated.data == 0.0)
 
 
 def test_attention_attenuates_elementwise():
     gate, _ = make_gate(level=2, base=4, seed=7)
     enc, dec = make_inputs(level=2, base=4, h=8, seed=8)
-    res = gate(enc, dec)
+    gated, _ = gate(enc, dec)
     e = enc[-1].data
     nz = e != 0
-    assert np.all(np.abs(res.gated.data[nz]) < np.abs(e[nz]))
+    assert np.all(np.abs(gated.data[nz]) < np.abs(e[nz]))
 
 
 def test_summand_asymmetry_sl_affects_spatial_only():
     # zeroing the level-l matched map changes Q but not W_cha
     gate, _ = make_gate(level=2, base=4, seed=9)
     enc, dec = make_inputs(level=2, base=4, seed=10)
-    base = gate(enc, dec)
+    _, base = gate(enc, dec)
     # zero the final match chain so S^l == bias-only constant
     last = gate.match_chains[-1]
     saved = [(c.weight.data.copy(), c.bias.data.copy()) for c in last.convs]
     for c in last.convs:
         c.weight.data[...] = 0.0
         c.bias.data[...] = 0.0
-    changed = gate(enc, dec)
+    _, changed = gate(enc, dec)
     assert np.array_equal(changed.channel_gate.data, base.channel_gate.data)
     assert not np.array_equal(changed.spatial_gate.data, base.spatial_gate.data)
     for c, (w, b) in zip(last.convs, saved):
@@ -173,7 +173,7 @@ def test_gate_sums_its_inputs_once(monkeypatch, level):
 def test_spatial_only_pins_channel_gate():
     gate, _ = make_gate(level=2, base=4, seed=13, spatial_only=True)
     enc, dec = make_inputs(level=2, base=4, seed=14)
-    res = gate(enc, dec)
+    _, res = gate(enc, dec)
     assert np.all(res.channel_gate.data == 1.0)
 
 
@@ -183,7 +183,7 @@ def test_attention_gradient_reaches_all_inputs_and_params():
     enc = [T.Tensor(rng.normal(size=(1, 2, 16, 16)), requires_grad=True),
            T.Tensor(rng.normal(size=(1, 4, 8, 8)), requires_grad=True)]
     dec = T.Tensor(rng.normal(size=(1, 8, 4, 4)), requires_grad=True)
-    check_grads(lambda: T.tsum(gate(enc, dec).gated),
+    check_grads(lambda: T.tsum(gate(enc, dec)[0]),
                 enc + [dec] + gate.params(), tol=1e-5, n=5)
 
 
@@ -191,6 +191,6 @@ def test_gate_ranges_random_forwards():
     for trial in range(20):
         gate, _ = make_gate(level=2, base=4, seed=trial)
         enc, dec = make_inputs(level=2, base=4, seed=1000 + trial)
-        res = gate(enc, dec)
+        _, res = gate(enc, dec)
         assert 0.0 < res.channel_gate.data.min() <= res.channel_gate.data.max() < 1.0
         assert 0.0 < res.spatial_gate.data.min() <= res.spatial_gate.data.max() < 1.0

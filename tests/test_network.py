@@ -1,16 +1,20 @@
+import gc
 import hashlib
+import weakref
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from fudsa import tensor as T
+from fudsa.attention import AttentionGate
 from fudsa.errors import InvalidArgument, ShapeMismatch
 from fudsa.layers import Conv2d
 from fudsa.losses import LossConfig, supervised_loss
-from fudsa.network import FudsaNet, NetworkConfig, VARIANTS
+from fudsa.network import FudsaNet, ForwardOutputs, NetworkConfig, VARIANTS
 from fudsa.training import AdamState, TrainConfig, adam_step
 
-from conftest import build, traced_peak, uniform
+from conftest import build, record_calls, traced_peak, uniform
 
 
 def small_cfg(**kw):
@@ -96,25 +100,38 @@ def test_forward_rejects_indivisible():
         model(T.Tensor(np.zeros((1, 1, 30, 30), np.float32)))
 
 
-def test_dimension_algebra_contract():
-    # E^l at (2H, 2W, C) against D^{l+1} at (H, W, C) and G^{l+1} at (H, W, 2C)
-    for levels in (3, 4):
-        for hw in (32, 64):
-            cfg = NetworkConfig(levels=levels, base_channels=2)
-            model = FudsaNet(cfg, seed=0)
-            out = model(uniform((1, 1, hw, hw), 0, 1, seed=2))
-            for l in range(1, levels + 1):
-                c = cfg.channels_at(l)
-                res = out.attn[l]
-                e_l = out.encoder_maps[l - 1]
-                h = e_l.shape[2] // 2
-                assert e_l.shape == (1, c, 2 * h, 2 * h)
-                assert res.reduced_decoder.shape == (1, c, h, h)
-                assert res.channel_gate.shape == (1, c, 1, 1)
-                assert res.spatial_gate.shape == (1, 1, 2 * h, 2 * h)
-                assert res.gated.shape == (1, c, 2 * h, 2 * h)
-                g_l = out.decoder_maps[l]
-                assert g_l.shape == (1, c, 2 * h, 2 * h)
+def test_forward_keeps_no_intermediate_map(monkeypatch):
+    # ForwardOutputs holds the heads and the gates alone: every E^l, G^l, D and E-hat
+    # is dead once a tape-free forward returns, while its outputs are still held
+    assert [f.name for f in fields(ForwardOutputs)] == ["final_map", "side_maps", "attn"]
+    model = FudsaNet(small_cfg(), seed=0)
+    reduce = [dl.attention.reduce for dl in model.decoder]
+    refs = []
+
+    def watch(*tensors):  # each array and every array it is a view of
+        for t in tensors:
+            a = t.data
+            refs.append(weakref.ref(a))
+            while isinstance(a.base, np.ndarray):
+                a = a.base
+                refs.append(weakref.ref(a))
+
+    def conv_maps(conv, args, out):
+        if conv in reduce:
+            watch(out)  # D
+        if conv is model.final_head:
+            watch(args[0])  # G^1
+
+    # a gate reads E^1..E^l and G^(l+1) and makes E-hat
+    record_calls(monkeypatch, AttentionGate,
+                 lambda gate, args, out: watch(*args[0], args[1], out[0]))
+    record_calls(monkeypatch, Conv2d, conv_maps)
+    out = model(uniform((2, 1, 32, 32), 0, 1, seed=1))
+    assert len(refs) >= 3 * 4 + 1  # E^1..E^3, G^2..G^4, D and E-hat thrice, and G^1
+    gc.collect()
+    live = sum(r() is not None for r in refs)
+    assert live == 0, f"{live} of the {len(refs)} arrays watched outlive the forward"
+    assert out.final_map.shape == (2, 1, 32, 32)  # held to here
 
 
 def test_no_dead_branches():
@@ -226,14 +243,22 @@ def test_residual_upsamples_stay_narrow(monkeypatch):
         assert node.shape[1] <= 2 * cfg.channels_at(level), (node.shape, level)
 
 
-def test_deep_block_perturbation_reaches_shallow_output():
-    # residual path: perturbing the deepest decoder block changes G^1
+def test_deep_block_perturbation_reaches_shallow_output(monkeypatch):
+    # residual path: perturbing the deepest decoder block changes G^1, which the
+    # final head reads
     model = FudsaNet(small_cfg(), seed=10)
     x = uniform((1, 1, 32, 32), 0, 1, seed=11)
-    base = model(x).decoder_maps[1].data.copy()
+    reads = record_calls(monkeypatch, Conv2d, lambda conv, args, out: (conv, args[0].data))
+
+    def g1():
+        reads.clear()
+        model(x)
+        return next(a for conv, a in reads if conv is model.final_head)
+
+    base = g1().copy()
     for p in model.decoder[0].block.params():
         p.data += 0.1
-    assert not np.array_equal(base, model(x).decoder_maps[1].data)
+    assert not np.array_equal(base, g1())
 
 
 def test_forward_deterministic():
