@@ -324,7 +324,3 @@ def main(argv=None):
     except (FudsaError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-
-if __name__ == "__main__":
-    sys.exit(main())

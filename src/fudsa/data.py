@@ -31,6 +31,11 @@ class SamplePair:
     mask: T.Tensor    # (1,1,H,W) in {0,1}
     identifier: str
 
+    def __post_init__(self):
+        if self.image.shape != self.mask.shape:
+            raise ShapeMismatch(
+                f"{self.identifier}: image {self.image.shape} vs mask {self.mask.shape}")
+
 
 @dataclass
 class SplitManifest:
@@ -255,8 +260,6 @@ def load_pairs(root, ids):
     for ident in ids:
         img = read_image01(root / "images" / f"{ident}.pgm")
         msk = read_mask(root / "masks" / f"{ident}.pgm")
-        if img.shape != msk.shape:
-            raise ShapeMismatch(f"{ident}: image {img.shape} vs mask {msk.shape}")
         if pairs and img.shape != pairs[0].image.shape[2:]:  # batches stack a split's images
             raise ShapeMismatch(f"{ident}: image {img.shape} vs {pairs[0].identifier}'s "
                                 f"{pairs[0].image.shape[2:]}; a split holds one extent")

@@ -132,7 +132,9 @@ class FudsaNet(Module):
             u = dl.up_conv(T.upsample(g_next, 2))
             gated, attn[level] = dl.attention(enc_maps, g_next)
             enc_maps.pop()  # gate l is the last reader of E^l
-            g = dl.block(T.concat_channels([gated, u]))
+            g = T.concat_channels([gated, u])
+            del gated, u  # copied into g: neither need live while the block runs
+            g = dl.block(g)
             # project G^m at its own resolution, then upsample c channels: 1x1 conv
             # and resampling commute, so the wide map never exists at this size
             for conv, m in zip(dl.proj, range(level + 1, cfg.levels + 1)):

@@ -108,9 +108,6 @@ class Tensor:
             raise InvalidArgument("item() needs a scalar (1,1,1,1) tensor")
         return float(self.data.reshape(()))
 
-    def __repr__(self):
-        return f"Tensor(shape={self.shape}, dtype={self.dtype}, requires_grad={self.requires_grad})"
-
 
 def _accum(t: Tensor, g: np.ndarray):
     """Hand ``g`` to ``t`` uncopied, shared or read-only as it may be; a second

@@ -71,6 +71,15 @@ def test_misshapen_summand_raises():
         gate(enc, dec)
 
 
+def test_gate_needs_one_encoder_map_per_level():
+    # zip would pair the chains with fewer maps silently, and e_l be the wrong level's
+    gate, _ = make_gate(level=3, base=2)
+    enc, dec = make_inputs(level=3, base=2, h=2)
+    for maps in (enc[1:], enc + enc[-1:]):
+        with pytest.raises(ShapeMismatch, match=f"level 3 gate needs 3 encoder maps, got {len(maps)}"):
+            gate(maps, dec)
+
+
 def test_channel_gate_level1_uses_decoder_alone():
     # at the top level the channel-branch summand list is [D] only
     gate, _ = make_gate(level=1, base=4)

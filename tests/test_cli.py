@@ -265,6 +265,31 @@ def test_preprocess_non_finite_window_exits_2(raw_dir, tmp_path, capsys, option,
     assert not (tmp_path / "p").exists()
 
 
+@pytest.mark.parametrize("size", ["32", "64"])
+def test_preprocess_mask_of_other_extents_exits_2(raw_dir, tmp_path, capsys, size):
+    # 16 px masks of 32 px images were once written as mismatched pairs at --size 32,
+    # and at --size 64 each mask was stretched onto its image; both exited 0
+    ids, _ = D.read_manifest(raw_dir / "manifest.txt")
+    for ident in ids:
+        path = raw_dir / "masks" / f"{ident}.pgm"
+        D.write_mask(path, D.read_mask(path)[::2, ::2])
+    assert run("preprocess", "--in", str(raw_dir), "--out", str(tmp_path / "p"),
+               "--size", size) == 2
+    assert f"{ids[0]}: image (1, 1, 32, 32) vs mask (1, 1, 16, 16)" in capsys.readouterr().err
+    assert not (tmp_path / "p").exists()
+
+
+def test_preprocess_8bit_raw_slice_exits_2(raw_dir, tmp_path, capsys):
+    # an 8-bit image holds no Hounsfield units
+    ident = D.read_manifest(raw_dir / "manifest.txt")[0][-1]
+    image = raw_dir / "images" / f"{ident}.pgm"
+    D.write_pgm(image, np.full((32, 32), 100, np.uint8), 255)
+    assert run("preprocess", "--in", str(raw_dir), "--out", str(tmp_path / "p"),
+               "--size", "32") == 2
+    assert f"{image}: raw slices are 16-bit PGM" in capsys.readouterr().err
+    assert not (tmp_path / "p").exists()
+
+
 def test_preprocess_missing_input_dir(tmp_path):
     assert run("preprocess", "--in", str(tmp_path / "nope"),
                "--out", str(tmp_path / "p")) == 2
@@ -278,6 +303,22 @@ def test_train_writes_artifacts(trained):
         assert (trained / name).exists(), name
     report = (trained / "report.csv").read_text().splitlines()
     assert report[0] == "epoch,train_loss,val_loss,val_dsc,val_iou,val_recall"
+
+
+def test_train_verbose_prints_each_epoch_of_the_report(tmp_path, data_dir, trained, capsys):
+    # the same run as the trained fixture's, with one line per epoch and the same report
+    out = tmp_path / "verbose"
+    capsys.readouterr()
+    assert run("train", "--data", str(data_dir), "--out", str(out), "--verbose",
+               "--seed", "0", "--learning-rate", "1e-4", "--max-epochs", "2",
+               "--batch-size", "2") == 0
+    report = (out / "report.csv").read_text()
+    assert report == (trained / "report.csv").read_text()
+    rows = [line.split(",") for line in report.splitlines()[1:-1]]  # less header and trailer
+    assert len(rows) == 2
+    printed = capsys.readouterr().out.splitlines()[:-1]  # less the closing best-epoch line
+    assert printed == [f"epoch {r[0]}: train {float(r[1]):.4f} val {float(r[2]):.4f} "
+                       f"dsc {r[3]}" for r in rows]
 
 
 def test_train_best_checkpoint_holds_no_optimizer_state(trained):

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from fudsa import data as D
 from fudsa import tensor as T
-from fudsa.errors import FudsaError, InvalidArgument, InvalidLabel
+from fudsa.errors import FudsaError, InvalidArgument, InvalidLabel, ShapeMismatch
 
 from conftest import traced_peak
 
@@ -286,6 +286,18 @@ def test_pgm_16bit_payload_is_big_endian(tmp_path):
     assert blob.endswith(b"\x01\x02")
 
 
+@pytest.mark.parametrize("array,maxval,message", [
+    (np.zeros((2, 2, 2), np.uint8), 255, "2-D images"),
+    (np.zeros((2, 2), np.uint8), 100, "maxval must be 255 or 65535"),
+    (np.array([[0, 256]]), 255, "outside"),
+    (np.array([[-1, 0]]), 65535, "outside"),
+])
+def test_write_pgm_refuses_what_it_cannot_store(tmp_path, array, maxval, message):
+    with pytest.raises(InvalidArgument, match=message):
+        D.write_pgm(tmp_path / "x.pgm", array, maxval)
+    assert not (tmp_path / "x.pgm").exists()
+
+
 def test_pgm_reader_skips_comments(tmp_path):
     payload = bytes([10, 20, 30, 40])
     (tmp_path / "c.pgm").write_bytes(b"P5\n# a comment\n2 2\n255\n" + payload)
@@ -488,3 +500,12 @@ def test_load_pairs_roundtrip(tmp_path):
         np.testing.assert_array_equal(back.mask.data, orig.mask.data)
         np.testing.assert_allclose(back.image.data, orig.image.data,
                                    atol=1.0 / 65535 + 1e-7)
+
+
+def test_load_pairs_refuses_a_mask_of_other_extents(tmp_path):
+    (tmp_path / "images").mkdir()
+    (tmp_path / "masks").mkdir()
+    D.write_image01(tmp_path / "images" / "a.pgm", np.zeros((32, 32)))
+    D.write_mask(tmp_path / "masks" / "a.pgm", np.ones((16, 32)))
+    with pytest.raises(ShapeMismatch, match=r"a: image \(1, 1, 32, 32\) vs mask \(1, 1, 16, 32\)"):
+        D.load_pairs(tmp_path, ["a"])

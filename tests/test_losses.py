@@ -162,6 +162,17 @@ def test_metrics_empty_vs_empty_convention():
     assert rec.dsc == rec.iou == rec.recall == 1.0
 
 
+def test_metrics_reject_unequal_shapes_and_non_binary_masks():
+    z = np.zeros((1, 1, 4, 4))
+    with pytest.raises(ShapeMismatch, match="prediction"):
+        segmentation_metrics(z, np.zeros((1, 1, 4, 5)))
+    half = np.full((1, 1, 4, 4), 0.5)
+    with pytest.raises(InvalidLabel, match="prediction mask"):
+        segmentation_metrics(half, z)
+    with pytest.raises(InvalidLabel, match="target mask"):
+        segmentation_metrics(T.Tensor(z), T.Tensor(half + 1.5))  # all 2s
+
+
 def test_metrics_brute_force_1000_pairs():
     rng = np.random.default_rng(42)
     for _ in range(1000):

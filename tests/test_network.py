@@ -9,7 +9,7 @@ import pytest
 from fudsa import tensor as T
 from fudsa.attention import AttentionGate
 from fudsa.errors import InvalidArgument, ShapeMismatch
-from fudsa.layers import Conv2d
+from fudsa.layers import Conv2d, ConvBlock
 from fudsa.losses import LossConfig, supervised_loss
 from fudsa.network import FudsaNet, ForwardOutputs, NetworkConfig, VARIANTS
 from fudsa.training import AdamState, TrainConfig, adam_step
@@ -132,6 +132,37 @@ def test_forward_keeps_no_intermediate_map(monkeypatch):
     live = sum(r() is not None for r in refs)
     assert live == 0, f"{live} of the {len(refs)} arrays watched outlive the forward"
     assert out.final_map.shape == (2, 1, 32, 32)  # held to here
+
+
+def test_decoder_level_drops_its_inputs_before_its_block_runs(monkeypatch):
+    # the concat copies E-hat and the up-conv map, so neither need live while the level's
+    # ConvBlock runs; both once lived to the end of the level
+    model = FudsaNet(small_cfg(), seed=0)
+    level = {id(m): i for i, dl in enumerate(model.decoder)
+             for m in (dl.up_conv, dl.attention, dl.block)}
+    refs = [[] for _ in model.decoder]  # per decoder level: its E-hat's and up-conv map's arrays
+    live_at_block = {}
+
+    def watch(module, t):
+        if id(module) in level:
+            a = t.data
+            refs[level[id(module)]].append(weakref.ref(a))
+            while isinstance(a.base, np.ndarray):
+                a = a.base
+                refs[level[id(module)]].append(weakref.ref(a))
+
+    def at_block(block, args, out):
+        if id(block) in level:  # the block has run and its caller holds only its output
+            i = level[id(block)]
+            live_at_block[i] = (len(refs[i]), sum(r() is not None for r in refs[i]))
+
+    record_calls(monkeypatch, AttentionGate, lambda gate, args, out: watch(gate, out[0]))
+    record_calls(monkeypatch, Conv2d, lambda conv, args, out: watch(conv, out))
+    record_calls(monkeypatch, ConvBlock, at_block)
+    model(uniform((2, 1, 32, 32), 0, 1, seed=1))
+    assert sorted(live_at_block) == [0, 1, 2]
+    for i, (watched, live) in live_at_block.items():
+        assert watched >= 2 and live == 0, f"decoder.{i}: {live} of {watched} arrays live"
 
 
 def test_no_dead_branches():
@@ -274,6 +305,8 @@ def test_config_validation():
         NetworkConfig(levels=1)
     with pytest.raises(InvalidArgument):
         NetworkConfig(base_channels=0)
+    with pytest.raises(InvalidArgument, match="dtype must be f32 or f64, got 'f16'"):
+        NetworkConfig(dtype="f16")
 
 
 def test_width_is_bounded_before_allocation():

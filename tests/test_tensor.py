@@ -56,6 +56,12 @@ def test_bad_extents():
         T.Tensor(np.zeros((2, 2)))
 
 
+def test_item_needs_a_scalar():
+    assert T.Tensor(np.full((1, 1, 1, 1), 2.5)).item() == 2.5
+    with pytest.raises(InvalidArgument, match="scalar"):
+        T.Tensor(np.zeros((1, 2, 1, 1))).item()
+
+
 # ---------------------------------------------------------------------------
 # elementwise
 
@@ -113,6 +119,21 @@ def test_div_and_power_grads(rng):
     a = T.Tensor(np.abs(rng.normal(size=(1, 1, 1, 1))) + 0.5, requires_grad=True)
     b = T.Tensor(np.abs(rng.normal(size=(1, 1, 1, 1))) + 0.5, requires_grad=True)
     check_grads(lambda: T.power(T.div(a, T.add(a, b)), 0.75), [a, b])
+
+
+def test_div_needs_equal_shapes():
+    # no broadcast: a (1,1,1,1) divisor is refused, not spread
+    with pytest.raises(ShapeMismatch, match="div needs equal shapes"):
+        T.div(T.Tensor(np.ones((1, 2, 2, 2))), T.Tensor(np.ones((1, 1, 1, 1))))
+
+
+@pytest.mark.parametrize("e,at_zero", [(0.75, 0.0), (1.0, 1.0), (2.0, 0.0)])
+def test_power_derivative_at_zero(e, at_zero):
+    # d/da a**e at a = 0 is 0 for e > 1, 1 for e = 1, and the subgradient 0 for e < 1
+    a = T.Tensor(np.array([0.0, 3.0]).reshape(1, 1, 1, 2), requires_grad=True)
+    with T.Tape() as tape:
+        T.backward(T.tsum(T.power(a, e)), tape)
+    assert a.grad.reshape(-1).tolist() == [at_zero, e * 3.0 ** (e - 1.0)]
 
 
 # ---------------------------------------------------------------------------
@@ -305,6 +326,13 @@ def test_conv_shape_formula_grid(rng):
 def test_conv_channel_mismatch():
     with pytest.raises(ShapeMismatch):
         T.conv2d(T.Tensor(np.zeros((1, 2, 4, 4))), T.Tensor(np.zeros((1, 3, 3, 3))), zero_bias(1))
+
+
+@pytest.mark.parametrize("bias", [(1, 3, 1, 1), (1, 2, 1, 2), (2, 2, 1, 1)])
+def test_conv_bias_must_be_one_per_output_channel(bias):
+    with pytest.raises(ShapeMismatch, match=r"bias must be \(1,2,1,1\)"):
+        T.conv2d(T.Tensor(np.zeros((1, 3, 4, 4))), T.Tensor(np.zeros((2, 3, 3, 3))),
+                 T.Tensor(np.zeros(bias)))
 
 
 def test_conv_output_too_small():
@@ -809,6 +837,14 @@ def test_dense_rejects_spatial():
         T.dense(T.Tensor(np.zeros((1, 3, 2, 2))), T.Tensor(np.zeros((3, 3, 1, 1))), zero_bias(3))
 
 
+def test_dense_channel_and_bias_mismatch():
+    x = T.Tensor(np.zeros((2, 3, 1, 1)))
+    with pytest.raises(ShapeMismatch, match="dense weight expects 4 channels, input has 3"):
+        T.dense(x, T.Tensor(np.zeros((5, 4, 1, 1))), zero_bias(5))
+    with pytest.raises(ShapeMismatch, match=r"bias must be \(1,5,1,1\)"):
+        T.dense(x, T.Tensor(np.zeros((5, 3, 1, 1))), zero_bias(3))
+
+
 def test_concat_shapes_and_roundtrip(rng):
     a = T.Tensor(rng.normal(size=(1, 2, 4, 4)), requires_grad=True)
     b = T.Tensor(rng.normal(size=(1, 3, 4, 4)), requires_grad=True)
@@ -825,6 +861,11 @@ def test_concat_shapes_and_roundtrip(rng):
 def test_concat_spatial_mismatch():
     with pytest.raises(ShapeMismatch):
         T.concat_channels([T.Tensor(np.zeros((1, 2, 4, 4))), T.Tensor(np.zeros((1, 2, 4, 5)))])
+
+
+def test_concat_of_nothing():
+    with pytest.raises(InvalidArgument, match="at least one tensor"):
+        T.concat_channels([])
 
 
 # ---------------------------------------------------------------------------
@@ -995,6 +1036,24 @@ def test_ften_rejects_extents_that_overflow(tmp_path):
     p.write_bytes(b"FTEN" + struct.pack("<BBB5x", 1, 0, 2) + struct.pack("<2Q", 2 ** 62, 4))
     with pytest.raises(InvalidArgument):
         T.read_ften(p)
+
+
+@pytest.mark.parametrize("dtype", [np.int32, np.float16, np.bool_])
+def test_ften_writes_floats_only(tmp_path, dtype):
+    path = tmp_path / "int.ften"
+    with pytest.raises(InvalidArgument, match="f32/f64 only"):
+        T.write_ften(path, np.zeros((1, 1, 2, 2), dtype))
+    assert not path.exists()  # refused before the path is opened
+
+
+def test_ften_record_shorter_than_its_stated_size():
+    # a file that shrinks during the read: the header fits the size given, the payload is short
+    buf = io.BytesIO()
+    T.write_ften(buf, np.ones((1, 1, 2, 2), np.float32))
+    blob = buf.getvalue()
+    with pytest.raises(InvalidArgument, match="truncated FTEN payload"):
+        T.read_ften_record(io.BytesIO(blob[:-1]), len(blob))
+    assert T.read_ften_record(io.BytesIO(blob), len(blob)).tolist() == [[[[1.0, 1.0], [1.0, 1.0]]]]
 
 
 @settings(max_examples=200, deadline=None)
