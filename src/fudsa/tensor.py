@@ -256,6 +256,10 @@ def tsum(a: Tensor) -> Tensor:
 # ---------------------------------------------------------------------------
 # convolution and pooling
 
+# Bytes of gathered gradient columns per block in a conv's backward; a block
+# holds one output channel or one window row at least.
+_COLS_BLOCK = 5 * 2 ** 19  # 2.5 MiB
+
 def conv2d(x: Tensor, kernel: Tensor, bias: Tensor,
            stride: int = 1, dilation: int = 1, padding: int = 0) -> Tensor:
     """Cross-correlation with zero padding plus a bias; kernel is
@@ -349,23 +353,48 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor,
                 gx = _shift_sum(z.reshape(taps, cin, -1), [span - o for o in offs], frame, win_i)
                 del z
         else:
-            # One gather of the gradient frame feeds both GEMMs.
-            cols = _gather(gp, [span - o for o in offs], frame, win_i)
-            del gp
-            shape, cols = cols.shape[2:], cols.reshape(cout * taps, -1)
+            # One gather of the gradient frame feeds both GEMMs where it fits
+            # in _COLS_BLOCK bytes (2.5 MiB).  A larger one is gathered per
+            # GEMM, in the fewest near-equal blocks that fit: output channels
+            # for the weight gradient (each row is still one dot product over
+            # all columns), and images, or rows of one image, for the input
+            # gradient, whose columns are independent.
+            back, shape = [span - o for o in offs], (n, hp, wp) if flat else (n, h, w)
+            y0, x0 = (0, 0) if flat else (xh, xw)  # the window's corner in the frame
+
+            def cols(c0=0, c1=cout, i0=0, i1=n, r0=0, r1=shape[1]):
+                """Rows of channels c0..c1; columns of images i0..i1, window rows r0..r1."""
+                win = np.s_[:, :, y0 + r0:y0 + r1, x0:x0 + shape[2]]
+                return _gather(gp[c0:c1, i0 * hp * wp:], back, (i1 - i0, hp, wp),
+                               win).reshape((c1 - c0) * taps, -1)
+
+            chan = taps * math.prod(shape) * g.itemsize  # one output channel's columns
+            whole = cols() if cout * chan <= _COLS_BLOCK else None
             if kernel.requires_grad:
-                gk = cols @ _window(framed(), 0, frame, win_i).reshape(cin, -1).T
+                # x as (columns, Cin): the GEMM packs it again per block, fast from this layout
+                xc = _window(framed(), 0, frame, win_i).transpose(1, 2, 3, 0).reshape(-1, cin)
+                gk = np.empty((cout * taps, cin), dtype=g.dtype)
+                for c0, c1 in _parts(cout, chan):
+                    np.matmul(cols(c0, c1) if whole is None else whole, xc,
+                              out=gk[c0 * taps:c1 * taps])
+                del xc
                 gk = gk.reshape(cout, taps, cin).transpose(0, 2, 1)
             if x.requires_grad:
-                gx = (k3.transpose(1, 0, 2).reshape(cin, -1) @ cols).reshape(cin, *shape)
-            del cols
+                kt = k3.transpose(1, 0, 2).reshape(cin, -1)
+                gx = np.empty((cin, *shape), dtype=g.dtype)
+                row = cout * taps * shape[2] * g.itemsize  # one window row's columns
+                for i0, i1, r0, r1 in _spans(n, shape[1], row):  # one where whole fits
+                    np.matmul(kt, cols(i0=i0, i1=i1, r0=r0, r1=r1) if whole is None else whole,
+                              out=gx[:, i0:i1, r0:r1].reshape(cin, -1))
+            del whole, gp
         if gk is not None:
             full = np.zeros(kernel.shape, dtype=gk.dtype)  # dropped taps get none
             np.multiply(gk.reshape(live.shape), unscale, out=full[:, :, ti, tj])
             _accum(kernel, full)
         if gx is not None:
-            gx = gx[crop_i]
-            gx *= unscale
+            # a flat frame's crop goes to a new array, so x's holder keeps no padding
+            crop = gx[crop_i]
+            gx = np.multiply(crop, unscale, out=crop if crop.shape == gx.shape else None)
             _accum(x, gx.transpose(1, 0, 2, 3))
 
     return _op(out, bwd, x, kernel, bias)
@@ -406,6 +435,24 @@ def _window(buf, o, frame, win):
     """A flat (C, M) frame buffer from offset o, as (C, N, Hp, Wp) indexed by win."""
     n, hp, wp = frame
     return buf[:, o:o + n * hp * wp].reshape(-1, n, hp, wp)[win]
+
+
+def _parts(count, each):
+    """(start, stop) ranges that split range(count), whose items take ``each``
+    bytes, into the fewest near-equal parts of at most _COLS_BLOCK bytes (one
+    item at least)."""
+    parts = -(-count // max(1, _COLS_BLOCK // each))
+    edges = [count * i // parts for i in range(parts + 1)]
+    return list(zip(edges[:-1], edges[1:]))
+
+
+def _spans(n, rows, each):
+    """(i0, i1, r0, r1) blocks of images i0..i1 and rows r0..r1, a row taking
+    ``each`` bytes: whole images where one fits in _COLS_BLOCK, else rows of
+    one image."""
+    if rows * each <= _COLS_BLOCK:
+        return [(i0, i1, 0, rows) for i0, i1 in _parts(n, rows * each)]
+    return [(i, i + 1, r0, r1) for i in range(n) for r0, r1 in _parts(rows, each)]
 
 
 def _gather(buf, offsets, frame, win):

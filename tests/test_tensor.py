@@ -219,6 +219,7 @@ CONV_BRANCHES = {
     "dead first tap, stride 2": (2, 2, 3, 2, 2, 2, 2, 2, 1),
     "dead taps along the width only": (2, 3, 2, 8, 3, 3, 1, 3, 3),
     "no tap reads input": (2, 2, 3, 1, 1, 2, 1, 2, 1),
+    "cin>cout=1 flat 24px": (2, 3, 1, 24, 24, 3, 1, 1, 1),
     "cin>cout 1x1": (2, 5, 3, 5, 5, 1, 1, 1, 0),
     "cin>cout 2x2 stride 2, odd extent": (2, 5, 3, 7, 6, 2, 2, 1, 0),
 }
@@ -238,6 +239,52 @@ def test_conv_branches_match_loop_oracle_and_finite_diff(rng, geom):
     up = T.Tensor(rng.normal(size=oracle.shape))
     check_grads(lambda: T.tsum(T.mul(T.conv2d(x, kern, b, stride=s, dilation=d, padding=p), up)),
                 [x, kern, b])
+
+
+# geometries whose backward shifts and adds, or copies tiles back, and so gathers
+# no gradient columns
+NO_GRADIENT_GATHER = {"cin<cout flat 24px", "n=1 cin<cout flat", "dead taps 4px d=4",
+                      "cin>cout 1x1", "cin>cout 2x2 stride 2, odd extent"}
+
+
+@pytest.mark.parametrize("name", CONV_BRANCHES)
+def test_conv_backward_in_blocks_matches_loop_oracle_and_finite_diff(rng, monkeypatch, name):
+    # a one-byte block puts each output channel (weight gradient) and each window
+    # row of one image (input gradient) in a gather of its own, so both GEMMs run
+    # in blocks
+    n, cin, cout, h, w, k, s, d, p = CONV_BRANCHES[name]
+    args = dict(stride=s, dilation=d, padding=p)
+    x = T.Tensor(rng.normal(size=(n, cin, h, w)), requires_grad=True)
+    kern = T.Tensor(rng.normal(size=(cout, cin, k, k)), requires_grad=True)
+    b = T.Tensor(rng.normal(size=(1, cout, 1, 1)), requires_grad=True)
+    oracle = conv2d_loop(x.data, kern.data, b.data.reshape(-1), s, d, p)
+    up = T.Tensor(rng.normal(size=oracle.shape))
+    whole = _output_and_grads(lambda: T.conv2d(x, kern, b, **args), [x, kern, b], up.data)
+    monkeypatch.setattr(T, "_COLS_BLOCK", 1)
+    x.grad = kern.grad = b.grad = None
+    with T.Tape() as tape:
+        out = T.conv2d(x, kern, b, **args)
+        loss = T.tsum(T.mul(out, up))
+    blocks, real = [], T._gather  # (channels, taps, images, rows, cols) of each gather
+
+    def gather(*args):
+        cols = real(*args)
+        blocks.append(cols.shape)
+        return cols
+
+    monkeypatch.setattr(T, "_gather", gather)
+    T.backward(loss, tape)
+    one_row = sum(c == cout and i * r == 1 for c, _, i, r, _ in blocks)
+    one_channel = sum(c == 1 and i * r > 1 for c, _, i, r, _ in blocks)
+    if name in NO_GRADIENT_GATHER:
+        assert one_row == one_channel == 0, blocks
+    else:
+        assert one_channel == cout and one_row > 1, blocks
+    assert np.allclose(out.data, oracle, atol=1e-10)
+    for got, want in zip([x.grad, kern.grad, b.grad], whole[1:], strict=True):
+        assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
+    x.grad = kern.grad = b.grad = None
+    check_grads(lambda: T.tsum(T.mul(T.conv2d(x, kern, b, **args), up)), [x, kern, b])
 
 
 def test_conv_gradients_finite_diff(rng):

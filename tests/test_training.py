@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import struct
 import tempfile
 from dataclasses import fields
@@ -304,17 +305,13 @@ def test_evaluate_all_background_prediction_recall_zero():
     assert rec.recall == 0.0 and rec.tp == 0
 
 
-def test_ablation32_train_step_peak_is_bounded():
-    # one full-model step at the criterion-6 geometry, traced as perfbench's peak_mib is,
-    # holding the forward's outputs through backward: it reads 18.77 MiB; it read 20.74
-    # while ForwardOutputs also held every E^l, G^l, D and E-hat, 24.03 while each relu
-    # after a conv kept its own tape node (and the conv's holder the gradient before the
-    # relu), 24.38 while the gates kept their S maps, and 29.17 when backward also
-    # copied each gradient it stored
-    model = FudsaNet(NetworkConfig(levels=3, base_channels=8), seed=0)
+def _one_step(levels, channels, size, batch, variant="full"):
+    """A seeded model, its Adam state and phantom batch, and one training step on them."""
+    model = FudsaNet(NetworkConfig(levels=levels, base_channels=channels,
+                                   **VARIANTS[variant]), seed=0)
     params = list(model.named_params())
-    state, cfg = AdamState(params), TrainConfig(learning_rate=3e-4, batch_size=16)
-    pairs = [D.synth_phantom(100 + i, 32) for i in range(16)]
+    state, cfg = AdamState(params), TrainConfig(learning_rate=3e-4, batch_size=batch)
+    pairs = [D.synth_phantom(100 + i, size) for i in range(batch)]
     x, y = (T.Tensor(np.concatenate([getattr(p, k).data for p in pairs]).astype(np.float32))
             for k in ("image", "mask"))
 
@@ -325,8 +322,51 @@ def test_ablation32_train_step_peak_is_bounded():
         adam_step(params, state, cfg)
         model.zero_grad()
 
+    return model, x, y, step
+
+
+def _step_peak(levels, channels, size, batch):
+    """traced_peak of one full-model step, as perfbench's peak_mib takes it."""
+    step = _one_step(levels, channels, size, batch)[3]
     step()  # the first step fills caches that later steps reuse
-    assert traced_peak(step) <= 20.0 * 2 ** 20
+    return traced_peak(step)
+
+
+def test_ablation32_train_step_peak_is_bounded():
+    # one full-model step at the criterion-6 geometry, holding the forward's outputs
+    # through backward: it reads 16.10 MiB; it read 18.77 while one conv's backward
+    # gathered all its gradient columns at once, 20.74 while ForwardOutputs also held
+    # every E^l, G^l, D and E-hat, 24.03 while each relu after a conv kept its own tape
+    # node (and the conv's holder the gradient before the relu), 24.38 while the gates
+    # kept their S maps, and 29.17 when backward also copied each gradient it stored
+    assert _step_peak(3, 8, 32, 16) <= 16.5 * 2 ** 20
+
+
+def test_train64_step_peak_is_bounded():
+    # the same at perfbench train64's geometry (L4 C16, 64 px, batch 4): it reads
+    # 41.34 MiB, and read 48.21 while one conv's backward gathered all its gradient
+    # columns at once
+    assert _step_peak(4, 16, 64, 4) <= 41.75 * 2 ** 20
+
+
+@pytest.mark.parametrize("levels, channels, size, batch, variant",
+                         [(4, 16, 64, 4, "full")] + [(3, 8, 32, 16, v) for v in VARIANTS])
+def test_conv_blocks_keep_parameter_gradients_to_the_bit(monkeypatch, levels, channels,
+                                                         size, batch, variant):
+    # the blocks the default _COLS_BLOCK picks at train64's and criterion 6's
+    # geometries give the parameter gradients that one gather per conv gives
+    split, real = [], T._parts
+    monkeypatch.setattr(T, "_parts", lambda *a: split.append(len(parts := real(*a))) or parts)
+    digests = []
+    for block in (T._COLS_BLOCK, 2 ** 62):
+        monkeypatch.setattr(T, "_COLS_BLOCK", block)
+        model, x, y, _ = _one_step(levels, channels, size, batch, variant)
+        with T.Tape() as tape:
+            T.backward(supervised_loss(model(x), y, TrainConfig.loss), tape)
+        digests.append(hashlib.sha256(b"".join(
+            p.grad.tobytes() for _, p in model.named_params())).hexdigest())
+    assert max(split) > 1  # some conv ran in blocks (under the default block only)
+    assert digests[0] == digests[1]
 
 
 # ---------------------------------------------------------------------------
